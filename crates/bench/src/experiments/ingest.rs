@@ -1,33 +1,28 @@
-//! Ring-vs-mpsc ingestion contention microbench (PR 10 acceptance
-//! artifact).
+//! Ring-vs-mpsc transport contention microbench.
 //!
-//! Two series, both round-paired the same way the flow-table and
-//! backend benches are: each round times the ring transport and the
-//! mpsc transport back to back (alternating which goes first), the
-//! per-round ratio divides out slow drift, and the median ratio is
-//! what the acceptance gate reads.
+//! Round-paired the same way the flow-table and backend benches are:
+//! each round times the ring transport and the mpsc transport back to
+//! back (alternating which goes first), the per-round ratio divides out
+//! slow drift, and the median ratio is what the acceptance gate reads.
 //!
-//! * `transport` — raw hand-off cost. P producer threads each send a
-//!   fixed token budget round-robin across S = 4 shard consumers.
-//!   The ring side uses one SPSC ring per producer × shard (the
-//!   `run_threaded_partitioned` topology); the mpsc side clones one
-//!   `SyncSender` per producer into S shared `sync_channel`s sized to
-//!   the same total buffering (DEPTH × P slots per shard).
-//! * `driver` — end-to-end `run_threaded` (ring) vs
-//!   `run_threaded_mpsc` (retained mpsc-era reference) on a Zipf
-//!   stream, identical config.
+//! P producer threads each send a fixed token budget round-robin across
+//! S = 4 shard consumers. The ring side uses one SPSC ring per
+//! producer × shard; the mpsc side clones one `SyncSender` per producer
+//! into S shared `sync_channel`s sized to the same total buffering
+//! (DEPTH × P slots per shard). This isolates the hand-off primitive;
+//! the end-to-end driver path is measured by the repository benchmark's
+//! `driver-caida` workload.
 //!
-//! On a single hardware core the absolute numbers measure
-//! coordination overhead — syscalls, parking, scheduler churn — not
-//! parallel speedup; the paired ratio is still meaningful because
-//! both sides pay the same oversubscription tax. `BENCH_ingest.json`
-//! records that caveat next to the numbers.
+//! When producers + consumers outnumber the hardware cores the absolute
+//! numbers measure coordination overhead — syscalls, parking, scheduler
+//! churn — not parallel speedup; the paired ratio is still meaningful
+//! because both sides pay the same oversubscription tax.
+//! `BENCH_ingest.json` records the host's core count next to the
+//! numbers.
 
 use crate::scale::Scale;
 use crate::{fmt, Report};
-use qmax_engine::{ring, DriverConfig, ShardedQMax};
-use qmax_traces::gen::random_u64_stream;
-use qmax_traces::zipf::ZipfSampler;
+use qmax_engine::ring;
 use std::io::Write as _;
 use std::sync::mpsc;
 use std::thread;
@@ -36,7 +31,6 @@ use std::time::{Duration, Instant};
 const SHARDS: usize = 4;
 const DEPTH: usize = 8;
 const TRANSPORT_ROUNDS: usize = 5;
-const DRIVER_ROUNDS: usize = 3;
 const PRODUCER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Drains a fan-in of SPSC lanes the way the driver's worker loop
@@ -194,13 +188,7 @@ fn ratio_median(rounds: &[PairedRound]) -> f64 {
     median(rounds.iter().map(|r| r.ratio).collect())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_ingest_bench_json(
-    transport: &[TransportSeries],
-    driver: &[PairedRound],
-    msgs_total: u64,
-    driver_items: usize,
-) {
+fn write_ingest_bench_json(transport: &[TransportSeries], msgs_total: u64) {
     let transport_json: Vec<String> = transport
         .iter()
         .map(|t| {
@@ -225,27 +213,24 @@ fn write_ingest_bench_json(
             .unwrap_or(0.0)
     };
     let (r4, r8) = (ratio_at(4), ratio_at(8));
+    let nproc = thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         concat!(
             "{{\n",
             "  \"bench\": \"ingest\",\n",
-            "  \"note\": \"Round-paired ring-vs-mpsc ingestion comparison. Each round times both transports back to back (alternating order); ratio = mpsc_time / ring_time, so > 1.0 means the SPSC ring hand-off is faster. Medians are across rounds.\",\n",
-            "  \"machine_note\": \"Single hardware core: every number here is coordination overhead under oversubscription (spin/yield/park on the ring side, mutex + futex on the mpsc side), not parallel speedup. The paired ratio stays meaningful because both sides pay the same scheduling tax.\",\n",
-            "  \"config\": {{\"shards\": {shards}, \"ring_depth\": {depth}, \"mpsc_capacity_per_shard\": \"ring_depth * producers\", \"transport_rounds\": {trounds}, \"driver_rounds\": {drounds}, \"transport_msgs_per_round\": {msgs}, \"driver_items\": {ditems}}},\n",
+            "  \"note\": \"Round-paired ring-vs-mpsc transport comparison. Each round times both transports back to back (alternating order); ratio = mpsc_time / ring_time, so > 1.0 means the SPSC ring hand-off is faster. Medians are across rounds.\",\n",
+            "  \"machine_note\": \"P producers and {shards} consumers share nproc hardware threads; once P + {shards} > nproc the numbers are coordination overhead under oversubscription (spin/yield/park on the ring side, mutex + futex on the mpsc side), not parallel speedup. The paired ratio stays meaningful because both sides pay the same scheduling tax.\",\n",
+            "  \"config\": {{\"nproc\": {nproc}, \"shards\": {shards}, \"ring_depth\": {depth}, \"mpsc_capacity_per_shard\": \"ring_depth * producers\", \"transport_rounds\": {trounds}, \"transport_msgs_per_round\": {msgs}}},\n",
             "  \"transport\": [\n{transport}\n  ],\n",
-            "  \"driver\": {{\"entry_points\": \"run_threaded (ring) vs run_threaded_mpsc (retained reference)\", \"shards\": {shards}, \"ratio_median\": {dmed:.4}, \"rounds\": {driver}}},\n",
             "  \"acceptance\": {{\"criterion\": \"ring beats mpsc on the contention microbench at >= 4 producer threads (median paired ratio > 1.0)\", \"ratio_p4\": {r4:.4}, \"ratio_p8\": {r8:.4}, \"pass\": {pass}}}\n",
             "}}\n"
         ),
+        nproc = nproc,
         shards = SHARDS,
         depth = DEPTH,
         trounds = TRANSPORT_ROUNDS,
-        drounds = DRIVER_ROUNDS,
         msgs = msgs_total,
-        ditems = driver_items,
         transport = transport_json.join(",\n"),
-        driver = round_json(driver),
-        dmed = ratio_median(driver),
         r4 = r4,
         r8 = r8,
         pass = r4 > 1.0 && r8 > 1.0,
@@ -258,21 +243,14 @@ fn write_ingest_bench_json(
 }
 
 /// Contention microbench: SPSC ring fan-in vs shared `sync_channel`
-/// at 1/2/4/8 producer threads, plus the end-to-end driver pairing.
-/// Writes `results/ingest_contention.csv` and `BENCH_ingest.json`.
+/// at 1/2/4/8 producer threads. Writes `results/ingest_contention.csv`
+/// and `BENCH_ingest.json`.
 pub fn ingest_contention(scale: &Scale) {
     println!("# Ingestion: SPSC ring fan-in vs shared mpsc channel (S=4 shards)");
     let msgs_total = scale.stream(800_000) as u64;
     let mut rep = Report::new(
         "ingest_contention",
-        &[
-            "series",
-            "producers",
-            "round",
-            "ring_mops",
-            "mpsc_mops",
-            "ratio",
-        ],
+        &["producers", "round", "ring_mops", "mpsc_mops", "ratio"],
     );
 
     let mut transport = Vec::new();
@@ -298,7 +276,6 @@ pub fn ingest_contention(scale: &Scale) {
                 ratio: mpsc_t.as_secs_f64() / ring_t.as_secs_f64(),
             };
             rep.row(&[
-                "transport".to_string(),
                 producers.to_string(),
                 round.to_string(),
                 fmt(paired.ring_mops),
@@ -314,56 +291,5 @@ pub fn ingest_contention(scale: &Scale) {
         transport.push(TransportSeries { producers, rounds });
     }
 
-    // End-to-end: the ring driver vs the retained mpsc-era reference
-    // on the same Zipf stream and config.
-    let driver_items = scale.stream(1_000_000);
-    let q = 10_000;
-    let mut flows = ZipfSampler::new(1_000_000, 1.0, 11);
-    let items: Vec<(u64, u64)> = random_u64_stream(driver_items, 0xD01E)
-        .map(|v| (flows.sample() as u64, v))
-        .collect();
-    let run_ring = |items: &[(u64, u64)]| {
-        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, SHARDS);
-        let start = Instant::now();
-        let _ = engine.run_threaded(items.iter().copied(), DriverConfig::default());
-        start.elapsed()
-    };
-    let run_mpsc = |items: &[(u64, u64)]| {
-        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, SHARDS);
-        let start = Instant::now();
-        let _ = engine.run_threaded_mpsc(items.iter().copied(), DriverConfig::default());
-        start.elapsed()
-    };
-    let mut driver_rounds = Vec::with_capacity(DRIVER_ROUNDS);
-    for round in 0..DRIVER_ROUNDS {
-        let (ring_t, mpsc_t) = if round % 2 == 0 {
-            let r = run_ring(&items);
-            let m = run_mpsc(&items);
-            (r, m)
-        } else {
-            let m = run_mpsc(&items);
-            let r = run_ring(&items);
-            (r, m)
-        };
-        let paired = PairedRound {
-            ring_mops: mops(items.len() as u64, ring_t),
-            mpsc_mops: mops(items.len() as u64, mpsc_t),
-            ratio: mpsc_t.as_secs_f64() / ring_t.as_secs_f64(),
-        };
-        rep.row(&[
-            "driver".to_string(),
-            "1".to_string(),
-            round.to_string(),
-            fmt(paired.ring_mops),
-            fmt(paired.mpsc_mops),
-            fmt(paired.ratio),
-        ]);
-        driver_rounds.push(paired);
-    }
-    println!(
-        "  driver (run_threaded vs run_threaded_mpsc): median ratio {:.3}",
-        ratio_median(&driver_rounds)
-    );
-
-    write_ingest_bench_json(&transport, &driver_rounds, msgs_total, driver_items);
+    write_ingest_bench_json(&transport, msgs_total);
 }

@@ -37,18 +37,12 @@ fn sorted_values(engine: &mut ShardedQMax<u64, u64>) -> Vec<u64> {
 }
 
 /// Sweeps shard count ∈ {1, 2, 4, 8} on Zipf and CAIDA-like streams,
-/// mirroring the series as `results/sharded_scaling.csv`.
-///
-/// Rows with `producers == 1` time the single-ingestion-thread driver
-/// (`run_threaded`); rows with `producers > 1` split the stream into
-/// that many contiguous sub-streams and time the multi-producer driver
-/// (`run_threaded_partitioned`, one SPSC ring per producer × shard).
-/// Shard routing hashes keys, so every variant must rebuild the same
-/// reservoir as the single-threaded batched path — asserted per row.
+/// mirroring the series as `results/sharded_scaling.csv`. The threaded
+/// driver (`run_threaded`, one producer, one SPSC ring per shard) must
+/// rebuild the same reservoir as the single-threaded batched path —
+/// asserted per row.
 pub fn sharded_scaling(scale: &Scale) {
-    println!(
-        "# Sharded engine: insert throughput vs shard and producer count (q=10^4, gamma=0.25)"
-    );
+    println!("# Sharded engine: insert throughput vs shard count (q=10^4, gamma=0.25)");
     let n = scale.stream(2_000_000);
     let q = 10_000;
     let traces = [("zipf", zipf_stream(n, 7)), ("caida", caida_stream(n, 9))];
@@ -57,7 +51,6 @@ pub fn sharded_scaling(scale: &Scale) {
         &[
             "trace",
             "shards",
-            "producers",
             "batch_mips",
             "threaded_mips",
             "load_factor",
@@ -72,29 +65,20 @@ pub fn sharded_scaling(scale: &Scale) {
             }
             let batch_mips = mpps(items.len(), start.elapsed());
             let reference = sorted_values(&mut batched);
-            for producers in [1usize, 2, 4, 8] {
-                let mut threaded: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
-                let report = if producers == 1 {
-                    threaded.run_threaded(items.iter().copied(), DriverConfig::default())
-                } else {
-                    let chunk = items.len().div_ceil(producers);
-                    let streams: Vec<_> = items.chunks(chunk).map(|c| c.iter().copied()).collect();
-                    threaded.run_threaded_partitioned(streams, DriverConfig::default())
-                };
-                assert_eq!(
-                    sorted_values(&mut threaded),
-                    reference,
-                    "batched and threaded paths diverged on {name} ({producers} producers)"
-                );
-                rep.row(&[
-                    name.to_string(),
-                    shards.to_string(),
-                    producers.to_string(),
-                    fmt(batch_mips),
-                    fmt(report.throughput_mips()),
-                    fmt(report.max_load_factor()),
-                ]);
-            }
+            let mut threaded: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
+            let report = threaded.run_threaded(items.iter().copied(), DriverConfig::default());
+            assert_eq!(
+                sorted_values(&mut threaded),
+                reference,
+                "batched and threaded paths diverged on {name}"
+            );
+            rep.row(&[
+                name.to_string(),
+                shards.to_string(),
+                fmt(batch_mips),
+                fmt(report.throughput_mips()),
+                fmt(report.max_load_factor()),
+            ]);
         }
     }
 }

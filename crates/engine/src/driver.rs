@@ -8,13 +8,13 @@
 //! their private reservoir), and nothing is shared between workers, so
 //! there is no locking on the per-item hot path — including the
 //! cross-thread handoff itself, which publishes whole owned batches
-//! with a pair of Acquire/Release edges instead of the
-//! mutex-and-condvar machinery of `std::sync::mpsc` (the mpsc-era
-//! driver survives as [`ShardedQMax::run_threaded_mpsc`], the
-//! reference the differential battery and the contention bench compare
-//! against). [`ShardedQMax::run_threaded_partitioned`] extends the
-//! layout to P ingestion threads: one ring per (producer × shard), so
-//! producers never share a queue either.
+//! with a pair of Acquire/Release edges. One producer feeds one ring
+//! per shard; a caller with several sources chains them into one
+//! iterator (the exact top-q does not depend on the interleaving).
+//! [`ShardedQMax::run_threaded`] and
+//! [`ShardedQMax::run_supervised`] share the producer loop
+//! ([`route_batches`]) and differ only in how a full batch is handed
+//! off and how a failed shard recovers.
 //!
 //! # Fault tolerance
 //!
@@ -48,20 +48,13 @@
 
 use crate::ring;
 use crate::shard_key::ShardKey;
-use crate::sharded::{ShardHealth, ShardedQMax};
+use crate::sharded::{ShardHealth, ShardRouter, ShardedQMax};
 use crate::supervisor::{ShardLifecycle, WatchdogConfig};
 use qmax_core::BatchInsert;
 #[cfg(test)]
 use qmax_core::QMax;
 use std::any::Any;
-
-/// One batch-carrying SPSC lane, seen from each end (the driver only
-/// ever moves whole admitted batches across threads).
-type BatchProducer<I, V> = ring::Producer<Vec<(I, V)>>;
-type BatchConsumer<I, V> = ring::Consumer<Vec<(I, V)>>;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -81,6 +74,22 @@ pub enum OverloadPolicy {
     },
 }
 
+impl OverloadPolicy {
+    /// The shed rule of both drivers, applied to a `len`-item batch
+    /// that met a full ring: under [`Self::Shed`] the batch is dropped
+    /// (and charged to the shard's `dropped` tally) if the tally stays
+    /// within budget. `false` means the caller must block instead.
+    pub(crate) fn try_shed(self, dropped: &mut u64, len: u64) -> bool {
+        match self {
+            OverloadPolicy::Shed { max_dropped } if *dropped + len <= max_dropped => {
+                *dropped += len;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Tuning knobs for [`ShardedQMax::run_threaded`].
 #[derive(Debug, Clone, Copy)]
 pub struct DriverConfig {
@@ -97,18 +106,16 @@ pub struct DriverConfig {
     /// drained items per shard (snapshots are taken at batch
     /// boundaries, so the effective interval is rounded up to the next
     /// batch). `None` disables checkpointing: panics fall back to the
-    /// cold PR 4 quarantine path. Ignored by
-    /// [`ShardedQMax::run_threaded`].
+    /// cold quarantine path. [`ShardedQMax::run_threaded`] panics when
+    /// this is set.
     pub checkpoint_every: Option<u64>,
     /// Stall-watchdog and restart policy for
     /// [`ShardedQMax::run_supervised`]. `None` disables stall
     /// detection (panic recovery then uses [`WatchdogConfig::default`]
-    /// for its restart budget and backoff). Ignored by
-    /// [`ShardedQMax::run_threaded`].
+    /// for its restart budget and backoff).
+    /// [`ShardedQMax::run_threaded`] panics when this is set.
     pub watchdog: Option<WatchdogConfig>,
-    /// Pin worker thread `s` to core `s mod available_parallelism`
-    /// (and, for [`ShardedQMax::run_threaded_partitioned`], producer
-    /// `p` to core `(S + p) mod available_parallelism`) via
+    /// Pin worker thread `s` to core `s mod available_parallelism` via
     /// [`ring::pin_current_thread`]. Off by default; a no-op on
     /// platforms without `sched_setaffinity`. Useful only when cores ≥
     /// threads — on an oversubscribed box pinning serializes the
@@ -177,20 +184,16 @@ pub struct DriverReport {
     /// which recovers cold). Entries restore exactly once per recovery:
     /// [`qmax_core::Checkpoint::restore`] overwrites, never merges.
     pub per_shard_recovered: Vec<u64>,
-    /// Peak ring occupancy (in-flight batches) each shard's
-    /// producer(s) ever observed, counting rejected pushes against a
-    /// full ring. The backpressure signal: a shard pinned at
+    /// Peak ring occupancy (in-flight batches) each shard's producer
+    /// ever observed, counting rejected pushes against a full ring.
+    /// The backpressure signal: a shard pinned at
     /// [`Self::ring_capacity`] stopped keeping up with its sub-stream
     /// (overloaded, stalled, or quarantined). For
-    /// [`ShardedQMax::run_threaded_partitioned`] this is the max over
-    /// the shard's per-producer rings; for
     /// [`ShardedQMax::run_supervised`] it folds across worker
-    /// generations. All zeros for the mpsc reference driver.
+    /// generations.
     pub per_shard_ring_high_water: Vec<u64>,
     /// Ring capacity in batches ([`DriverConfig::queue_depth`]) the
-    /// run used — the ceiling of
-    /// [`Self::per_shard_ring_high_water`]. 0 for the mpsc reference
-    /// driver, which has no rings.
+    /// run used — the ceiling of [`Self::per_shard_ring_high_water`].
     pub ring_capacity: u64,
     /// One entry per quarantined shard, in shard order.
     pub failures: Vec<ShardFailure>,
@@ -231,9 +234,9 @@ impl DriverReport {
 
     /// Whether shard `s`'s producer ever saw its ring pinned at
     /// capacity — the occupancy-level statement of "this shard fell
-    /// behind". Always `false` for the mpsc reference driver.
+    /// behind".
     pub fn saturated(&self, s: usize) -> bool {
-        self.ring_capacity > 0 && self.per_shard_ring_high_water[s] >= self.ring_capacity
+        self.per_shard_ring_high_water[s] >= self.ring_capacity
     }
 
     /// Whether shard `s` finished the run un-quarantined.
@@ -300,7 +303,41 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// What one worker thread hands back when its ring(s) close.
+/// The producer loop of both threaded drivers: route each item to its
+/// shard, count it, append it to that shard's batch, hand every batch
+/// that reaches `batch_size` to `dispatch`, and finally flush each
+/// shard's non-empty remainder in shard order. Returns the items routed
+/// to each of the `n` shards.
+///
+/// `dispatch` is generic rather than `dyn` so each driver's handoff
+/// compiles into the per-item loop.
+pub(crate) fn route_batches<I: ShardKey, V>(
+    router: ShardRouter,
+    n: usize,
+    stream: impl Iterator<Item = (I, V)>,
+    batch_size: usize,
+    mut dispatch: impl FnMut(usize, Vec<(I, V)>),
+) -> Vec<u64> {
+    let mut per_shard_items = vec![0u64; n];
+    let mut buffers: Vec<Vec<(I, V)>> = (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
+    for (id, val) in stream {
+        let s = router.route(&id);
+        per_shard_items[s] += 1;
+        buffers[s].push((id, val));
+        if buffers[s].len() >= batch_size {
+            let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
+            dispatch(s, full);
+        }
+    }
+    for (s, buffer) in buffers.into_iter().enumerate() {
+        if !buffer.is_empty() {
+            dispatch(s, buffer);
+        }
+    }
+    per_shard_items
+}
+
+/// What one worker thread hands back when its ring closes.
 struct WorkerOutcome<B> {
     /// The backend, unless it was poisoned by a panic and dropped.
     shard: Option<B>,
@@ -315,71 +352,12 @@ struct WorkerOutcome<B> {
     panic_message: Option<String>,
 }
 
-/// The per-batch drain state shared by every worker-loop shape: drains
-/// under `catch_unwind`, and on a panic drops the poisoned backend but
-/// keeps accepting batches (counted as quarantined) so the producer
-/// never waits on a ring nobody drains.
-struct DrainState<B> {
-    live: Option<B>,
-    admitted: u64,
-    drained: u64,
-    quarantined: u64,
-    panic_message: Option<String>,
-}
-
-impl<B> DrainState<B> {
-    fn new(shard: B) -> Self {
-        DrainState {
-            live: Some(shard),
-            admitted: 0,
-            drained: 0,
-            quarantined: 0,
-            panic_message: None,
-        }
-    }
-
-    fn take<I, V: Ord>(&mut self, batch: Vec<(I, V)>)
-    where
-        B: BatchInsert<I, V>,
-    {
-        let len = batch.len() as u64;
-        match self.live.take() {
-            Some(mut shard) => {
-                match catch_unwind(AssertUnwindSafe(|| drain_batch(&mut shard, batch))) {
-                    Ok(admitted) => {
-                        self.admitted += admitted;
-                        self.drained += len;
-                        self.live = Some(shard);
-                    }
-                    Err(payload) => {
-                        // The backend's internal invariants may be
-                        // arbitrarily broken mid-unwind: poison it by
-                        // dropping, and charge the whole batch as
-                        // quarantined (any partial admissions die with
-                        // the backend).
-                        self.quarantined += len;
-                        self.panic_message = Some(panic_message(payload));
-                        drop(shard);
-                    }
-                }
-            }
-            None => self.quarantined += len,
-        }
-    }
-
-    fn finish(self) -> WorkerOutcome<B> {
-        WorkerOutcome {
-            shard: self.live,
-            admitted: self.admitted,
-            drained: self.drained,
-            quarantined: self.quarantined,
-            panic_message: self.panic_message,
-        }
-    }
-}
-
-/// One worker's drain loop over a single SPSC ring: spin-then-park on
-/// emptiness ([`ring::Consumer::recv`]), end when the producer closes.
+/// One worker's drain loop over its shard's SPSC ring: spin-then-park
+/// on emptiness ([`ring::Consumer::recv`]), end when the producer
+/// closes. Each batch drains under `catch_unwind`; on a panic the
+/// poisoned backend is dropped but the loop keeps accepting batches
+/// (counted as quarantined) so the producer never waits on a ring
+/// nobody drains.
 fn worker_loop<I, V: Ord, B: BatchInsert<I, V>>(
     shard: B,
     mut rx: ring::Consumer<Vec<(I, V)>>,
@@ -388,67 +366,46 @@ fn worker_loop<I, V: Ord, B: BatchInsert<I, V>>(
     if let Some(core) = pin_core {
         ring::pin_current_thread(core);
     }
-    let mut state = DrainState::new(shard);
+    let mut out = WorkerOutcome {
+        shard: Some(shard),
+        admitted: 0,
+        drained: 0,
+        quarantined: 0,
+        panic_message: None,
+    };
     while let Some(batch) = rx.recv() {
-        state.take(batch);
-    }
-    state.finish()
-}
-
-/// One worker's drain loop over P producer rings (the partitioned
-/// layout): sweep the open rings, retire each once it is closed *and*
-/// drained, and back off (yield, then short sleep) on an idle sweep —
-/// parking is per-ring, so a multi-ring consumer polls instead.
-fn worker_loop_multi<I, V: Ord, B: BatchInsert<I, V>>(
-    shard: B,
-    mut rings: Vec<ring::Consumer<Vec<(I, V)>>>,
-    pin_core: Option<usize>,
-) -> WorkerOutcome<B> {
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
-    let mut state = DrainState::new(shard);
-    let mut idle = 0u32;
-    while !rings.is_empty() {
-        let mut progressed = false;
-        rings.retain_mut(|rx| {
-            while let Some(batch) = rx.try_pop() {
-                progressed = true;
-                state.take(batch);
+        let len = batch.len() as u64;
+        let Some(mut shard) = out.shard.take() else {
+            out.quarantined += len;
+            continue;
+        };
+        match catch_unwind(AssertUnwindSafe(|| drain_batch(&mut shard, batch))) {
+            Ok(admitted) => {
+                out.admitted += admitted;
+                out.drained += len;
+                out.shard = Some(shard);
             }
-            if !rx.is_closed() {
-                return true;
-            }
-            // Close is published after the producer's last push, so one
-            // more drain after observing it empties the ring for good.
-            while let Some(batch) = rx.try_pop() {
-                progressed = true;
-                state.take(batch);
-            }
-            false
-        });
-        if progressed {
-            idle = 0;
-        } else {
-            idle = idle.saturating_add(1);
-            if idle < 16 {
-                thread::yield_now();
-            } else {
-                thread::sleep(Duration::from_micros(50));
+            Err(payload) => {
+                // The backend's internal invariants may be arbitrarily
+                // broken mid-unwind: poison it by dropping, and charge
+                // the whole batch as quarantined (any partial
+                // admissions die with the backend).
+                out.quarantined += len;
+                out.panic_message = Some(panic_message(payload));
+                drop(shard);
             }
         }
     }
-    state.finish()
+    out
 }
 
 /// Producer-side push of one batch under the overload policy.
-/// `dropped`/`orphaned` are item counts per shard; the shed budget is
-/// an atomic so partitioned producers share one budget per shard.
+/// `dropped`/`orphaned` are the shard's item tallies.
 fn dispatch_ring<I, V>(
     tx: &mut ring::Producer<Vec<(I, V)>>,
     batch: Vec<(I, V)>,
     overload: OverloadPolicy,
-    dropped: &AtomicU64,
+    dropped: &mut u64,
     orphaned: &mut u64,
 ) {
     let len = batch.len() as u64;
@@ -461,30 +418,19 @@ fn dispatch_ring<I, V>(
                 *orphaned += len;
             }
         }
-        OverloadPolicy::Shed { max_dropped } => match tx.try_push(batch) {
+        OverloadPolicy::Shed { .. } => match tx.try_push(batch) {
             Ok(()) => {}
             Err(batch) => {
                 if tx.consumer_gone() {
                     *orphaned += len;
-                } else if claim_shed_budget(dropped, len, max_dropped) {
-                    // Counted into the shared per-shard drop budget.
+                } else if overload.try_shed(dropped, len) {
+                    // Charged to the shard's drop budget.
                 } else if tx.push_wait(batch).is_err() {
                     *orphaned += len;
                 }
             }
         },
     }
-}
-
-/// Atomically claims `len` items of a shard's shed budget; `false`
-/// when the claim would overshoot `max_dropped` (the caller must then
-/// fall back to a blocking push, keeping the loss bound exact).
-fn claim_shed_budget(dropped: &AtomicU64, len: u64, max_dropped: u64) -> bool {
-    dropped
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-            cur.checked_add(len).filter(|&next| next <= max_dropped)
-        })
-        .is_ok()
 }
 
 /// Worker core assignment under [`DriverConfig::pin_threads`].
@@ -521,24 +467,35 @@ where
     /// producer (bounded spin, then yield) or sheds the batch, per
     /// `config.overload`.
     ///
-    /// This method itself never panics on a shard failure: worker
-    /// panics are caught, quarantined, and reported.
+    /// This method never panics on a shard failure: worker panics are
+    /// caught, quarantined, and reported.
+    ///
+    /// # Panics
+    ///
+    /// Before spawning any thread, if `config.checkpoint_every` or
+    /// `config.watchdog` is set: checkpoints and stall detection are
+    /// [`ShardedQMax::run_supervised`]'s job, and silently ignoring
+    /// them would hide a misconfiguration.
     pub fn run_threaded<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
     where
         S: Iterator<Item = (I, V)>,
     {
+        assert!(
+            config.checkpoint_every.is_none() && config.watchdog.is_none(),
+            "run_threaded does not checkpoint or watch for stalls; \
+             use run_supervised for DriverConfig::checkpoint_every / watchdog"
+        );
         let n = self.shard_count();
         let batch_size = config.batch_size.max(1);
         let queue_depth = config.queue_depth.max(1);
         let shards = self.take_shards();
         let router = self.router();
-        let mut per_shard_items = vec![0u64; n];
-        let dropped: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let mut per_shard_dropped = vec![0u64; n];
         // Items orphaned by a dead consumer (worker died outside the
         // drain loop); folded into the quarantine bucket.
         let mut orphaned = vec![0u64; n];
         let start = Instant::now();
-        let (outcomes, high_water) = thread::scope(|scope| {
+        let (per_shard_items, outcomes, high_water) = thread::scope(|scope| {
             let mut producers = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
             for (s, shard) in shards.into_iter().enumerate() {
@@ -547,309 +504,27 @@ where
                 let pin = pin_plan(config.pin_threads, s);
                 handles.push(scope.spawn(move || worker_loop(shard, rx, pin)));
             }
-            let mut buffers: Vec<Vec<(I, V)>> =
-                (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-            for (id, val) in stream {
-                let s = router.route(&id);
-                per_shard_items[s] += 1;
-                buffers[s].push((id, val));
-                if buffers[s].len() >= batch_size {
-                    let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
-                    dispatch_ring(
-                        &mut producers[s],
-                        full,
-                        config.overload,
-                        &dropped[s],
-                        &mut orphaned[s],
-                    );
-                }
-            }
-            for (s, buffer) in buffers.into_iter().enumerate() {
-                if !buffer.is_empty() {
-                    dispatch_ring(
-                        &mut producers[s],
-                        buffer,
-                        config.overload,
-                        &dropped[s],
-                        &mut orphaned[s],
-                    );
-                }
-            }
+            let per_shard_items = route_batches(router, n, stream, batch_size, |s, batch| {
+                dispatch_ring(
+                    &mut producers[s],
+                    batch,
+                    config.overload,
+                    &mut per_shard_dropped[s],
+                    &mut orphaned[s],
+                )
+            });
             // Read the backpressure peaks, then close the rings
             // (dropping the producers) to end each worker's drain loop.
             let high_water: Vec<u64> = producers.iter().map(|p| p.high_water()).collect();
             drop(producers);
-            let outcomes = handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>();
-            (outcomes, high_water)
+            let outcomes: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            (per_shard_items, outcomes, high_water)
         });
         let elapsed = start.elapsed();
-        let per_shard_dropped: Vec<u64> =
-            dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: high_water,
-                ring_capacity: queue_depth as u64,
-                elapsed,
-            },
-            outcomes,
-        )
-    }
 
-    /// The mpsc-era driver, retained verbatim as the reference
-    /// implementation the ring driver is differentially tested and
-    /// benchmarked against: identical routing, batching, overload, and
-    /// quarantine semantics over `std::sync::mpsc` bounded channels
-    /// (mutex-and-condvar handoff). It reports no ring stats
-    /// ([`DriverReport::ring_capacity`] = 0) and ignores
-    /// [`DriverConfig::pin_threads`]. New code wants
-    /// [`ShardedQMax::run_threaded`].
-    pub fn run_threaded_mpsc<S>(&mut self, stream: S, config: DriverConfig) -> DriverReport
-    where
-        S: Iterator<Item = (I, V)>,
-    {
-        let n = self.shard_count();
-        let batch_size = config.batch_size.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let shards = self.take_shards();
-        let router = self.router();
-        let mut per_shard_items = vec![0u64; n];
-        let mut per_shard_dropped = vec![0u64; n];
-        let mut orphaned = vec![0u64; n];
-        let start = Instant::now();
-        let outcomes = thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for shard in shards {
-                let (tx, rx) = mpsc::sync_channel::<Vec<(I, V)>>(queue_depth);
-                senders.push(tx);
-                handles.push(scope.spawn(move || {
-                    let mut state = DrainState::new(shard);
-                    for batch in rx {
-                        state.take(batch);
-                    }
-                    state.finish()
-                }));
-            }
-            let dispatch =
-                |s: usize, batch: Vec<(I, V)>, dropped: &mut [u64], orphaned: &mut [u64]| {
-                    match config.overload {
-                        OverloadPolicy::Block => {
-                            if let Err(mpsc::SendError(lost)) = senders[s].send(batch) {
-                                orphaned[s] += lost.len() as u64;
-                            }
-                        }
-                        OverloadPolicy::Shed { max_dropped } => match senders[s].try_send(batch) {
-                            Ok(()) => {}
-                            Err(mpsc::TrySendError::Full(batch)) => {
-                                if dropped[s] + batch.len() as u64 <= max_dropped {
-                                    dropped[s] += batch.len() as u64;
-                                } else if let Err(mpsc::SendError(lost)) = senders[s].send(batch) {
-                                    orphaned[s] += lost.len() as u64;
-                                }
-                            }
-                            Err(mpsc::TrySendError::Disconnected(lost)) => {
-                                orphaned[s] += lost.len() as u64;
-                            }
-                        },
-                    }
-                };
-            let mut buffers: Vec<Vec<(I, V)>> =
-                (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-            for (id, val) in stream {
-                let s = router.route(&id);
-                per_shard_items[s] += 1;
-                buffers[s].push((id, val));
-                if buffers[s].len() >= batch_size {
-                    let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
-                    dispatch(s, full, &mut per_shard_dropped, &mut orphaned);
-                }
-            }
-            for (s, buffer) in buffers.into_iter().enumerate() {
-                if !buffer.is_empty() {
-                    dispatch(s, buffer, &mut per_shard_dropped, &mut orphaned);
-                }
-            }
-            // Closing the channels ends each worker's drain loop.
-            drop(senders);
-            handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>()
-        });
-        let elapsed = start.elapsed();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: vec![0; n],
-                ring_capacity: 0,
-                elapsed,
-            },
-            outcomes,
-        )
-    }
-
-    /// The P-producer layout: `streams.len()` ingestion threads, each
-    /// routing its own sub-stream over a private SPSC ring per shard
-    /// (P × S rings total — "one producer slot per ingestion thread ×
-    /// shard"), so neither producers nor workers ever share a queue.
-    /// Workers sweep their P rings (poll + backoff; per-ring parking
-    /// does not compose across producers). Under
-    /// [`OverloadPolicy::Shed`] the per-shard drop budget is shared
-    /// across producers through one atomic, so the loss bound is
-    /// per-shard, not per-(producer × shard).
-    /// [`DriverReport::per_shard_ring_high_water`] is the max over a
-    /// shard's P rings.
-    ///
-    /// The merged result is exact: q-MAX keeps the exact top-q, which
-    /// is insensitive to the interleaving of the P sub-streams.
-    pub fn run_threaded_partitioned<S>(
-        &mut self,
-        streams: Vec<S>,
-        config: DriverConfig,
-    ) -> DriverReport
-    where
-        S: Iterator<Item = (I, V)> + Send,
-    {
-        let n = self.shard_count();
-        let nprod = streams.len().max(1);
-        let batch_size = config.batch_size.max(1);
-        let queue_depth = config.queue_depth.max(1);
-        let shards = self.take_shards();
-        let router = self.router();
-        let dropped: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let start = Instant::now();
-        let (outcomes, per_shard_items, orphaned, high_water) = thread::scope(|scope| {
-            // rings[p][s]: producer p's private lane into shard s.
-            let mut producer_lanes: Vec<Vec<BatchProducer<I, V>>> =
-                (0..nprod).map(|_| Vec::with_capacity(n)).collect();
-            let mut consumer_lanes: Vec<Vec<BatchConsumer<I, V>>> =
-                (0..n).map(|_| Vec::with_capacity(nprod)).collect();
-            for lanes in producer_lanes.iter_mut() {
-                for consumers in consumer_lanes.iter_mut() {
-                    let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
-                    lanes.push(tx);
-                    consumers.push(rx);
-                }
-            }
-            let mut handles = Vec::with_capacity(n);
-            for (s, (rings, shard)) in consumer_lanes.into_iter().zip(shards).enumerate() {
-                let pin = pin_plan(config.pin_threads, s);
-                handles.push(scope.spawn(move || worker_loop_multi(shard, rings, pin)));
-            }
-            let producer_handles: Vec<_> = streams
-                .into_iter()
-                .zip(producer_lanes)
-                .enumerate()
-                .map(|(p, (stream, mut lanes))| {
-                    let router = &router;
-                    let dropped = &dropped;
-                    let pin = pin_plan(config.pin_threads, n + p);
-                    scope.spawn(move || {
-                        if let Some(core) = pin {
-                            ring::pin_current_thread(core);
-                        }
-                        let mut items = vec![0u64; n];
-                        let mut orphaned = vec![0u64; n];
-                        let mut buffers: Vec<Vec<(I, V)>> =
-                            (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-                        for (id, val) in stream {
-                            let s = router.route(&id);
-                            items[s] += 1;
-                            buffers[s].push((id, val));
-                            if buffers[s].len() >= batch_size {
-                                let full = std::mem::replace(
-                                    &mut buffers[s],
-                                    Vec::with_capacity(batch_size),
-                                );
-                                dispatch_ring(
-                                    &mut lanes[s],
-                                    full,
-                                    config.overload,
-                                    &dropped[s],
-                                    &mut orphaned[s],
-                                );
-                            }
-                        }
-                        for (s, buffer) in buffers.into_iter().enumerate() {
-                            if !buffer.is_empty() {
-                                dispatch_ring(
-                                    &mut lanes[s],
-                                    buffer,
-                                    config.overload,
-                                    &dropped[s],
-                                    &mut orphaned[s],
-                                );
-                            }
-                        }
-                        let high_water: Vec<u64> =
-                            lanes.iter().map(|lane| lane.high_water()).collect();
-                        // Dropping the lanes closes this producer's
-                        // rings; a worker retires once all P close.
-                        drop(lanes);
-                        (items, orphaned, high_water)
-                    })
-                })
-                .collect();
-            let mut per_shard_items = vec![0u64; n];
-            let mut orphaned = vec![0u64; n];
-            let mut high_water = vec![0u64; n];
-            for handle in producer_handles {
-                // A producer panic would poison the whole run; none of
-                // the producer loop panics short of an OOM abort.
-                let (items, orph, hw) = handle.join().expect("ingestion thread panicked");
-                for s in 0..n {
-                    per_shard_items[s] += items[s];
-                    orphaned[s] += orph[s];
-                    high_water[s] = high_water[s].max(hw[s]);
-                }
-            }
-            let outcomes = handles
-                .into_iter()
-                .map(|handle| handle.join())
-                .collect::<Vec<_>>();
-            (outcomes, per_shard_items, orphaned, high_water)
-        });
-        let elapsed = start.elapsed();
-        let per_shard_dropped: Vec<u64> =
-            dropped.iter().map(|d| d.load(Ordering::Relaxed)).collect();
-        self.reassemble(
-            ReportInputs {
-                per_shard_items,
-                per_shard_dropped,
-                orphaned,
-                per_shard_ring_high_water: high_water,
-                ring_capacity: queue_depth as u64,
-                elapsed,
-            },
-            outcomes,
-        )
-    }
-
-    /// Shared post-run reassembly: fold worker outcomes into the
-    /// report, rebuild quarantined slots cold from the factory, and
-    /// restore the engine's shards and coverage annotations.
-    fn reassemble(
-        &mut self,
-        inputs: ReportInputs,
-        outcomes: Vec<thread::Result<WorkerOutcome<B>>>,
-    ) -> DriverReport {
-        let ReportInputs {
-            per_shard_items,
-            per_shard_dropped,
-            orphaned,
-            per_shard_ring_high_water,
-            ring_capacity,
-            elapsed,
-        } = inputs;
-        let n = per_shard_items.len();
+        // Fold worker outcomes into the report, rebuild quarantined
+        // slots cold from the factory, and restore the engine's shards
+        // and coverage annotations.
         let mut returned = Vec::with_capacity(n);
         let mut per_shard_admitted = vec![0u64; n];
         let mut per_shard_drained = vec![0u64; n];
@@ -908,23 +583,13 @@ where
             per_shard_dropped,
             per_shard_quarantined,
             per_shard_recovered: vec![0; n],
-            per_shard_ring_high_water,
-            ring_capacity,
+            per_shard_ring_high_water: high_water,
+            ring_capacity: queue_depth as u64,
             failures,
             per_shard_backend,
             lifecycle: ShardLifecycle::default(),
         }
     }
-}
-
-/// Producer-side tallies a run hands to [`ShardedQMax::reassemble`].
-struct ReportInputs {
-    per_shard_items: Vec<u64>,
-    per_shard_dropped: Vec<u64>,
-    orphaned: Vec<u64>,
-    per_shard_ring_high_water: Vec<u64>,
-    ring_capacity: u64,
-    elapsed: Duration,
 }
 
 #[cfg(test)]
@@ -983,64 +648,74 @@ mod tests {
         }
     }
 
+    /// The threaded driver against a per-shard sequential replay: route
+    /// with `shard_of`, cut each sub-stream into `batch_size` batches in
+    /// arrival order, and drain them into a fresh backend. Routing,
+    /// drain and admission counts, and the merged top-q must all agree.
     #[test]
-    fn ring_and_mpsc_reference_drivers_agree() {
+    fn threaded_run_matches_sequential_replay() {
         let items: Vec<(u64, u64)> = random_u64_stream(50_000, 44)
             .enumerate()
             .map(|(i, v)| (i as u64, v))
             .collect();
         let q = 64;
+        let batch_size = DriverConfig::default().batch_size;
         for shards in [1usize, 3] {
-            let mut ring_engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
-            let ring_report =
-                ring_engine.run_threaded(items.iter().copied(), DriverConfig::default());
-            let mut mpsc_engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
-            let mpsc_report =
-                mpsc_engine.run_threaded_mpsc(items.iter().copied(), DriverConfig::default());
-            assert_eq!(ring_report.per_shard_items, mpsc_report.per_shard_items);
-            assert_eq!(ring_report.per_shard_drained, mpsc_report.per_shard_drained);
+            let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
+            let report = engine.run_threaded(items.iter().copied(), DriverConfig::default());
+            assert_balanced(&report);
+            assert!(report.per_shard_ring_high_water.iter().any(|&h| h > 0));
+            let mut subs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
+            for &(id, v) in &items {
+                subs[engine.shard_of(&id)].push((id, v));
+            }
+            let mut merged = Vec::new();
+            for (s, sub) in subs.iter().enumerate() {
+                let mut backend: DeamortizedQMax<u64, u64> = DeamortizedQMax::new(q, 0.25);
+                let admitted: u64 = sub
+                    .chunks(batch_size)
+                    .map(|batch| backend.insert_batch(batch) as u64)
+                    .sum();
+                assert_eq!(report.per_shard_items[s], sub.len() as u64);
+                assert_eq!(report.per_shard_drained[s], sub.len() as u64);
+                assert_eq!(report.per_shard_admitted[s], admitted);
+                merged.extend(backend.query().into_iter().map(|(_, v)| v));
+            }
+            merged.sort_unstable_by(|a, b| b.cmp(a));
+            merged.truncate(q);
+            merged.sort_unstable();
             assert_eq!(
-                ring_report.per_shard_admitted,
-                mpsc_report.per_shard_admitted
-            );
-            assert_eq!(mpsc_report.ring_capacity, 0);
-            assert_eq!(mpsc_report.per_shard_ring_high_water, vec![0; shards]);
-            assert!(ring_report.per_shard_ring_high_water.iter().any(|&h| h > 0));
-            assert_balanced(&ring_report);
-            assert_balanced(&mpsc_report);
-            assert_eq!(
-                sorted_vals(&mut ring_engine),
-                sorted_vals(&mut mpsc_engine),
-                "ring and mpsc drivers diverged at {shards} shards"
+                sorted_vals(&mut engine),
+                merged,
+                "threaded run diverged from the sequential replay at {shards} shards"
             );
         }
     }
 
     #[test]
-    fn partitioned_run_matches_reference() {
-        let items: Vec<(u64, u64)> = random_u64_stream(60_000, 17)
-            .enumerate()
-            .map(|(i, v)| (i as u64, v))
-            .collect();
-        let q = 64;
-        for producers in [1usize, 2, 4] {
-            let chunk = items.len().div_ceil(producers);
-            let streams: Vec<_> = items.chunks(chunk).map(|c| c.iter().copied()).collect();
-            let mut partitioned: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, 3);
-            let report = partitioned.run_threaded_partitioned(streams, DriverConfig::default());
-            assert_eq!(report.items, items.len() as u64);
-            assert!(report.failures.is_empty());
-            assert_eq!(report.dropped() + report.quarantined(), 0);
-            assert_balanced(&report);
-            let mut reference: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, 3);
-            reference.insert_batch(&items);
-            // The exact top-q is insensitive to sub-stream interleaving.
-            assert_eq!(
-                sorted_vals(&mut partitioned),
-                sorted_vals(&mut reference),
-                "partitioned result diverged at {producers} producers"
-            );
-        }
+    #[should_panic(expected = "use run_supervised")]
+    fn run_threaded_rejects_checkpoint_cadence() {
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(8, 0.5, 2);
+        engine.run_threaded(
+            (0..100u64).map(|i| (i, i)),
+            DriverConfig {
+                checkpoint_every: Some(64),
+                ..DriverConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "use run_supervised")]
+    fn run_threaded_rejects_watchdog() {
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(8, 0.5, 2);
+        engine.run_threaded(
+            (0..100u64).map(|i| (i, i)),
+            DriverConfig {
+                watchdog: Some(WatchdogConfig::default()),
+                ..DriverConfig::default()
+            },
+        );
     }
 
     #[test]

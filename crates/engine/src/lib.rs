@@ -35,9 +35,8 @@
 //!   [`ring`] buffers; no external dependencies), routes a stream into
 //!   per-shard batches, and reports per-shard load, ring high-water
 //!   occupancy, and aggregate insert throughput; optional core pinning
-//!   via [`DriverConfig::pin_threads`], and
-//!   [`ShardedQMax::run_threaded_partitioned`] fans P ingestion
-//!   threads out over one ring per (thread × shard).
+//!   via [`DriverConfig::pin_threads`]. One producer feeds one ring per
+//!   shard; several sources are chained into one stream.
 //! * **Fault tolerance** — worker panics are caught and isolated: the
 //!   failing shard is quarantined and rebuilt empty from the engine's
 //!   stored backend factory while the other workers keep running

@@ -8,9 +8,9 @@
 //! system: every `send`/`recv` pair took an internal lock and possibly
 //! a futex syscall. This module replaces that plumbing with classic
 //! Lamport SPSC rings specialized for the drivers' traffic shape —
-//! whole owned batches (`Vec<(I, V)>`), one ring per (ingestion
-//! thread × shard), so the PR 5 admit kernel's contiguous runs travel
-//! intact and nothing on the steady-state path takes a lock:
+//! whole owned batches (`Vec<(I, V)>`), one ring per shard, so the
+//! batch-admit kernel's contiguous runs travel intact and nothing on
+//! the steady-state path takes a lock:
 //!
 //! * **Publish/consume protocol** — `head` counts completed pops,
 //!   `tail` counts completed pushes; both are monotonic `u64`s on their

@@ -1,6 +1,14 @@
 //! Checkpointed shard supervision: warm recovery, stall watchdogs, and
 //! lifecycle accounting for the threaded driver.
 //!
+//! [`ShardedQMax::run_supervised`] runs the same producer loop as
+//! [`ShardedQMax::run_threaded`] (`driver::route_batches`) over the same
+//! per-shard rings; only the handoff (through a swappable ring slot)
+//! and the recovery paths differ. With neither
+//! [`DriverConfig::checkpoint_every`] nor [`DriverConfig::watchdog`]
+//! set, the two drivers produce identical accounting and results under
+//! [`OverloadPolicy::Block`](crate::OverloadPolicy::Block).
+//!
 //! [`ShardedQMax::run_threaded`](crate::ShardedQMax::run_threaded)
 //! isolates a failing shard but recovers it **cold**: the quarantined
 //! backend is rebuilt empty from the factory, discarding the shard's
@@ -61,7 +69,7 @@
 //! finite stalls.
 
 use crate::driver::{
-    drain_batch, panic_message, DriverConfig, DriverReport, OverloadPolicy, ShardFailure,
+    drain_batch, panic_message, pin_plan, route_batches, DriverConfig, DriverReport, ShardFailure,
 };
 use crate::ring;
 use crate::shard_key::ShardKey;
@@ -517,8 +525,8 @@ where
     ///   snapshots its backend on that drained-item cadence (at batch
     ///   boundaries) and a panicking shard warm-restores from the last
     ///   checkpoint in place, losing at most one checkpoint interval
-    ///   plus the in-flight batch. Without it, panics follow the PR 4
-    ///   cold-quarantine path.
+    ///   plus the in-flight batch. Without it, panics take the same
+    ///   cold-quarantine path as [`ShardedQMax::run_threaded`].
     /// * With [`DriverConfig::watchdog`] set, a supervisor thread
     ///   replaces stalled workers (heartbeat silent past the deadline
     ///   with batches pending) from pre-stamped spare backends, warm
@@ -556,11 +564,10 @@ where
         });
         let sh: SupShared<I, V, B> = SupShared::new(n);
         let done = AtomicBool::new(false);
-        let mut per_shard_items = vec![0u64; n];
         let mut per_shard_dropped = vec![0u64; n];
         let mut orphaned = vec![0u64; n];
         let start = Instant::now();
-        thread::scope(|scope| {
+        let per_shard_items = thread::scope(|scope| {
             let sh = &sh;
             let spares = &spares;
             let done = &done;
@@ -568,7 +575,7 @@ where
                 let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
                 *sh.slots[s].lock().unwrap() = Some(tx);
                 sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                let pin = crate::driver::pin_plan(config.pin_threads, s);
+                let pin = pin_plan(config.pin_threads, s);
                 scope.spawn(move || supervised_worker(sh, s, 0, backend, rx, ckpt_every, wd, pin));
             }
             if watchdog_on {
@@ -682,7 +689,7 @@ where
                                 *slot = Some(tx);
                             }
                             sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                            let pin = crate::driver::pin_plan(pin_threads, s);
+                            let pin = pin_plan(pin_threads, s);
                             scope.spawn(move || {
                                 supervised_worker(sh, s, new_gen, spare, rx, ckpt_every, wd, pin)
                             });
@@ -699,64 +706,36 @@ where
                     }
                 });
             }
-            // Producer: route, batch, dispatch. Pushes never hold the
-            // slot lock while waiting out a full ring, so the
+            // Producer: the shared route/batch loop. Pushes never hold
+            // the slot lock while waiting out a full ring, so the
             // supervisor can always swap a stalled shard's ring
             // underneath us. A full-ring `try_push` records the
             // at-capacity occupancy in the ring's high-water mark —
             // which is how a stall becomes visible as backpressure.
-            let dispatch =
-                |s: usize, batch: Vec<(I, V)>, dropped: &mut [u64], orphaned: &mut [u64]| {
-                    let mut held = Some(batch);
-                    loop {
-                        {
-                            let mut guard = sh.slots[s].lock().unwrap();
-                            match guard.as_mut() {
-                                None => {
-                                    orphaned[s] += held.take().unwrap().len() as u64;
-                                    return;
-                                }
-                                Some(tx) => {
-                                    if tx.consumer_gone() {
-                                        orphaned[s] += held.take().unwrap().len() as u64;
-                                        return;
-                                    }
-                                    match tx.try_push(held.take().unwrap()) {
-                                        Ok(()) => {
-                                            sh.pending[s].fetch_add(1, Ordering::SeqCst);
-                                            return;
-                                        }
-                                        Err(b) => held = Some(b), // ring full
-                                    }
-                                }
-                            }
-                        }
-                        if let OverloadPolicy::Shed { max_dropped } = config.overload {
-                            let len = held.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-                            if dropped[s] + len <= max_dropped {
-                                dropped[s] += len;
+            let per_shard_items = route_batches(router, n, stream, batch_size, |s, batch| {
+                let len = batch.len() as u64;
+                let mut held = batch;
+                loop {
+                    {
+                        let mut guard = sh.slots[s].lock().unwrap();
+                        let Some(tx) = guard.as_mut().filter(|tx| !tx.consumer_gone()) else {
+                            orphaned[s] += len;
+                            return;
+                        };
+                        match tx.try_push(held) {
+                            Ok(()) => {
+                                sh.pending[s].fetch_add(1, Ordering::SeqCst);
                                 return;
                             }
+                            Err(batch) => held = batch, // ring full
                         }
-                        thread::sleep(Duration::from_micros(200));
                     }
-                };
-            let mut buffers: Vec<Vec<(I, V)>> =
-                (0..n).map(|_| Vec::with_capacity(batch_size)).collect();
-            for (id, val) in stream {
-                let s = router.route(&id);
-                per_shard_items[s] += 1;
-                buffers[s].push((id, val));
-                if buffers[s].len() >= batch_size {
-                    let full = std::mem::replace(&mut buffers[s], Vec::with_capacity(batch_size));
-                    dispatch(s, full, &mut per_shard_dropped, &mut orphaned);
+                    if config.overload.try_shed(&mut per_shard_dropped[s], len) {
+                        return;
+                    }
+                    thread::sleep(Duration::from_micros(200));
                 }
-            }
-            for (s, buffer) in buffers.into_iter().enumerate() {
-                if !buffer.is_empty() {
-                    dispatch(s, buffer, &mut per_shard_dropped, &mut orphaned);
-                }
-            }
+            });
             // Shutdown: fence the supervisor out of new failovers, then
             // retire every ring (folding its high-water and closing
             // it). Re-retiring in the wait loop catches a producer a
@@ -771,6 +750,7 @@ where
                 thread::sleep(Duration::from_millis(1));
             }
             done.store(true, Ordering::SeqCst);
+            per_shard_items
         });
         let elapsed = start.elapsed();
 

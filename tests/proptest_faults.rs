@@ -12,6 +12,8 @@
 //! 2. **Conservation**: every routed item is accounted exactly once —
 //!    `items == drained + dropped + quarantined`, per shard and in
 //!    aggregate — no matter which faults fired.
+//! 3. **One producer loop**: `run_supervised` without checkpoints or a
+//!    watchdog reports exactly what `run_threaded` reports.
 //!
 //! Fault-injected panics are deterministic in the *offered-insert*
 //! clock of each shard, and the blocking policy makes each shard's
@@ -19,7 +21,7 @@
 //! case's seed alone.
 
 use proptest::prelude::*;
-use qmax_core::{DeamortizedQMax, QMax};
+use qmax_core::{AmortizedQMax, DeamortizedQMax, QMax};
 use qmax_engine::fault::silence_fault_panics;
 use qmax_engine::{
     DriverConfig, DriverReport, FaultSchedule, FaultyBackend, OverloadPolicy, ShardedQMax,
@@ -210,6 +212,59 @@ proptest! {
         prop_assert_eq!(sorted_vals(a.query()), sorted_vals(b.query()));
     }
 
+    /// One producer loop, two drivers: with checkpointing and the
+    /// watchdog off, `run_supervised` takes the same cold-quarantine
+    /// path as `run_threaded`, so under the blocking policy the two
+    /// agree on every shard's routing, drain, admission, and
+    /// quarantine counts, on which shards failed and why, and on the
+    /// merged top-q.
+    #[test]
+    fn unsupervised_settings_make_both_drivers_agree(
+        fault_seed in any::<u64>(),
+        stream_seed in any::<u64>(),
+        n in 200usize..3000,
+        q in 1usize..48,
+        shards in 1usize..6,
+        batch_size in 1usize..128,
+    ) {
+        let _silence = silence_fault_panics();
+        let gamma = 0.5;
+        let horizon = 48;
+        let items = zipf_stream(n, stream_seed);
+        let config = DriverConfig {
+            batch_size,
+            queue_depth: 2,
+            overload: OverloadPolicy::Block,
+            checkpoint_every: None,
+            watchdog: None,
+            ..DriverConfig::default()
+        };
+        let engine = || -> ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> {
+            ShardedQMax::with_backends(q, shards, move |s| {
+                FaultyBackend::new(
+                    AmortizedQMax::new(q, gamma),
+                    FaultSchedule::seeded(fault_seed.wrapping_add(s as u64), horizon),
+                )
+            })
+        };
+        let mut threaded = engine();
+        let rt = threaded.run_threaded(items.iter().copied(), config);
+        let mut supervised = engine();
+        let rs = supervised.run_supervised(items.iter().copied(), config);
+
+        check_balance(&rt);
+        check_balance(&rs);
+        prop_assert_eq!(&rt.per_shard_items, &rs.per_shard_items);
+        prop_assert_eq!(&rt.per_shard_drained, &rs.per_shard_drained);
+        prop_assert_eq!(&rt.per_shard_admitted, &rs.per_shard_admitted);
+        prop_assert_eq!(&rt.per_shard_quarantined, &rs.per_shard_quarantined);
+        let failed = |r: &DriverReport| -> Vec<(usize, String)> {
+            r.failures.iter().map(|f| (f.shard, f.message.clone())).collect()
+        };
+        prop_assert_eq!(failed(&rt), failed(&rs));
+        prop_assert_eq!(sorted_vals(threaded.query()), sorted_vals(supervised.query()));
+    }
+
     /// Supervised runs with checkpointing: seeded one-shot faults never
     /// exhaust the restart budget, so no shard is ever permanently
     /// quarantined; the conservation invariant balances with the
@@ -245,11 +300,11 @@ proptest! {
             ..DriverConfig::default()
         };
         let supervised_engine = |seed: u64| -> ShardedQMax<
-            u64, u64, FaultyBackend<qmax_core::AmortizedQMax<u64, u64>>,
+            u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>,
         > {
             ShardedQMax::with_backends(q, shards, move |s| {
                 FaultyBackend::new(
-                    qmax_core::AmortizedQMax::new(q, gamma),
+                    AmortizedQMax::new(q, gamma),
                     FaultSchedule::seeded(seed.wrapping_add(s as u64), horizon),
                 )
             })

@@ -1,23 +1,23 @@
-//! Differential battery for the SPSC-ring ingestion path (PR 10).
+//! Battery for the SPSC-ring ingestion path of `run_threaded` and
+//! `run_supervised`.
 //!
-//! The ring driver replaced the mpsc-channel hand-off underneath
-//! `run_threaded` and `run_supervised`; `run_threaded_mpsc` is kept as
-//! the executable reference. Under the blocking overload policy every
-//! shard's sub-stream — and therefore its offered-insert fault clock —
-//! is deterministic, so the two drivers must agree on the *entire*
-//! failure-accounting report, not just totals. Shedding is
+//! Under the blocking overload policy every shard's sub-stream — and
+//! therefore its offered-insert fault clock — is deterministic, so the
+//! ring driver must agree with a per-shard sequential replay on the
+//! *entire* failure-accounting report, not just totals. Shedding is
 //! timing-dependent by design, so the shed scenarios check the
-//! conservation invariant, the loss budget, and the new occupancy
-//! evidence (a shard can only shed once its ring high-water has hit
-//! capacity) on both drivers instead of exact equality.
+//! conservation invariant, the loss budget, and the occupancy evidence
+//! (a shard can only shed once its ring high-water has hit capacity)
+//! instead of exact equality.
 
 use qmax_core::{AmortizedQMax, DeamortizedQMax, QMax};
 use qmax_engine::fault::silence_fault_panics;
 use qmax_engine::{
-    DriverConfig, DriverReport, FaultSchedule, FaultyBackend, OverloadPolicy, ShardedQMax,
-    WatchdogConfig,
+    BatchInsert, DriverConfig, DriverReport, FaultSchedule, FaultyBackend, OverloadPolicy,
+    ShardedQMax, WatchdogConfig,
 };
 use qmax_traces::gen::random_u64_stream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 const SEEDS: [u64; 3] = [1, 7, 23];
@@ -44,13 +44,18 @@ fn assert_balanced(report: &DriverReport) {
                 + report.per_shard_quarantined[s],
             "shard {s} accounting does not balance"
         );
-        if report.ring_capacity > 0 {
-            assert!(
-                report.per_shard_ring_high_water[s] <= report.ring_capacity,
-                "shard {s} high-water exceeds ring capacity"
-            );
-        }
+        assert!(
+            report.per_shard_ring_high_water[s] <= report.ring_capacity,
+            "shard {s} high-water exceeds ring capacity"
+        );
     }
+}
+
+fn chaos_backend(seed: u64, q: usize, s: usize) -> FaultyBackend<DeamortizedQMax<u64, u64>> {
+    FaultyBackend::new(
+        DeamortizedQMax::new(q, 0.25),
+        FaultSchedule::seeded(seed.wrapping_mul(0x9E37).wrapping_add(s as u64), 256),
+    )
 }
 
 fn chaos_engine(
@@ -58,20 +63,90 @@ fn chaos_engine(
     q: usize,
     shards: usize,
 ) -> ShardedQMax<u64, u64, FaultyBackend<DeamortizedQMax<u64, u64>>> {
-    ShardedQMax::with_backends(q, shards, move |s| {
-        FaultyBackend::new(
-            DeamortizedQMax::new(q, 0.25),
-            FaultSchedule::seeded(seed.wrapping_mul(0x9E37).wrapping_add(s as u64), 256),
-        )
-    })
+    ShardedQMax::with_backends(q, shards, move |s| chaos_backend(seed, q, s))
+}
+
+/// What the threaded driver must report for one shard, replayed
+/// sequentially.
+#[derive(Debug, PartialEq)]
+struct ShardReplay {
+    items: u64,
+    drained: u64,
+    quarantined: u64,
+    /// The first panic's message, if the shard failed.
+    failure: Option<String>,
+}
+
+/// The sequential oracle: route with `shard_of`, cut each sub-stream
+/// into `batch_size` batches in arrival order, and drain them into a
+/// fresh backend under `catch_unwind`. The first panic drops the
+/// backend; that batch and every later one count as quarantined.
+/// Returns the per-shard accounting and the merged top-`q` values (a
+/// failed shard contributes nothing, like its cold-rebuilt slot).
+fn sequential_replay(
+    seed: u64,
+    q: usize,
+    shards: usize,
+    items: &[(u64, u64)],
+    batch_size: usize,
+) -> (Vec<ShardReplay>, Vec<u64>) {
+    let router = chaos_engine(seed, q, shards);
+    let mut subs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
+    for &(id, v) in items {
+        subs[router.shard_of(&id)].push((id, v));
+    }
+    let mut merged = Vec::new();
+    let replays = subs
+        .iter()
+        .enumerate()
+        .map(|(s, sub)| {
+            let mut live = Some(chaos_backend(seed, q, s));
+            let mut replay = ShardReplay {
+                items: sub.len() as u64,
+                drained: 0,
+                quarantined: 0,
+                failure: None,
+            };
+            for batch in sub.chunks(batch_size) {
+                let len = batch.len() as u64;
+                let Some(mut backend) = live.take() else {
+                    replay.quarantined += len;
+                    continue;
+                };
+                match catch_unwind(AssertUnwindSafe(|| backend.insert_batch(batch))) {
+                    Ok(_) => {
+                        replay.drained += len;
+                        live = Some(backend);
+                    }
+                    Err(payload) => {
+                        replay.quarantined += len;
+                        replay.failure = Some(match payload.downcast::<String>() {
+                            Ok(msg) => *msg,
+                            Err(payload) => payload
+                                .downcast_ref::<&str>()
+                                .map_or_else(String::new, |m| m.to_string()),
+                        });
+                    }
+                }
+            }
+            if let Some(mut backend) = live {
+                merged.extend(backend.query().into_iter().map(|(_, v)| v));
+            }
+            replay
+        })
+        .collect();
+    merged.sort_unstable_by(|a, b| b.cmp(a));
+    merged.truncate(q);
+    merged.sort_unstable();
+    (replays, merged)
 }
 
 /// Blocking policy, seeded chaos on every shard: the ring driver and
-/// the mpsc reference must produce identical accounting — per-shard
-/// items, drains, quarantines, failure records, and the merged
-/// reservoir — across the CI seed matrix.
+/// the sequential replay must produce identical accounting — per-shard
+/// items, drains, quarantines, failure records (shard, message, items
+/// lost), and the merged reservoir — across the CI seed matrix.
 #[test]
-fn ring_and_mpsc_agree_exactly_under_blocking_chaos() {
+fn ring_driver_matches_sequential_replay_under_blocking_chaos() {
     let _silence = silence_fault_panics();
     let q = 256;
     let shards = 4;
@@ -83,64 +158,53 @@ fn ring_and_mpsc_agree_exactly_under_blocking_chaos() {
             overload: OverloadPolicy::Block,
             ..DriverConfig::default()
         };
-        let mut ring_engine = chaos_engine(seed, q, shards);
-        let ring_report = ring_engine.run_threaded(items.iter().copied(), config);
-        let mut mpsc_engine = chaos_engine(seed, q, shards);
-        let mpsc_report = mpsc_engine.run_threaded_mpsc(items.iter().copied(), config);
+        let mut engine = chaos_engine(seed, q, shards);
+        let report = engine.run_threaded(items.iter().copied(), config);
+        let (replays, merged) = sequential_replay(seed, q, shards, &items, config.batch_size);
 
-        assert_balanced(&ring_report);
-        assert_balanced(&mpsc_report);
-        assert_eq!(ring_report.items, mpsc_report.items, "seed {seed}");
+        assert_balanced(&report);
+        assert_eq!(report.items, items.len() as u64, "seed {seed}");
         assert_eq!(
-            ring_report.per_shard_items, mpsc_report.per_shard_items,
-            "seed {seed}: routing diverged"
+            report.per_shard_dropped,
+            vec![0; shards],
+            "seed {seed}: Block must never shed"
         );
-        assert_eq!(
-            ring_report.per_shard_drained, mpsc_report.per_shard_drained,
-            "seed {seed}: drains diverged"
-        );
-        assert_eq!(
-            ring_report.per_shard_dropped, mpsc_report.per_shard_dropped,
-            "seed {seed}: drops diverged under Block (must be zero-for-zero)"
-        );
-        assert_eq!(
-            ring_report.per_shard_quarantined, mpsc_report.per_shard_quarantined,
-            "seed {seed}: quarantines diverged"
-        );
-        let ring_failures: Vec<(usize, u64)> = ring_report
-            .failures
-            .iter()
-            .map(|f| (f.shard, f.items_lost))
+        let observed: Vec<ShardReplay> = (0..shards)
+            .map(|s| ShardReplay {
+                items: report.per_shard_items[s],
+                drained: report.per_shard_drained[s],
+                quarantined: report.per_shard_quarantined[s],
+                failure: report
+                    .failures
+                    .iter()
+                    .find(|f| f.shard == s)
+                    .map(|f| f.message.clone()),
+            })
             .collect();
-        let mpsc_failures: Vec<(usize, u64)> = mpsc_report
-            .failures
-            .iter()
-            .map(|f| (f.shard, f.items_lost))
-            .collect();
+        assert_eq!(observed, replays, "seed {seed}: accounting diverged");
+        for f in &report.failures {
+            assert_eq!(
+                f.items_lost, replays[f.shard].quarantined,
+                "seed {seed}: shard {} items_lost diverged",
+                f.shard
+            );
+        }
         assert_eq!(
-            ring_failures, mpsc_failures,
-            "seed {seed}: failures diverged"
-        );
-        assert_eq!(
-            sorted_vals(ring_engine.query()),
-            sorted_vals(mpsc_engine.query()),
+            sorted_vals(engine.query()),
+            merged,
             "seed {seed}: merged reservoirs diverged"
         );
-        // Only the ring driver reports occupancy evidence; the
-        // reference predates the ring and must say so explicitly.
-        assert!(ring_report.ring_capacity > 0);
-        assert_eq!(mpsc_report.ring_capacity, 0);
     }
 }
 
 /// Full-ring shedding: a stalling shard backs its ring up to capacity
 /// and the shed policy converts the overflow into budgeted, accounted
-/// loss. Exact drop counts are timing-dependent, so both drivers are
-/// held to the invariants instead: conservation balance, the loss
-/// budget, and — on the ring driver — the rule that a shard can only
-/// shed after its ring high-water pinned at capacity.
+/// loss. Exact drop counts are timing-dependent, so the driver is held
+/// to the invariants instead: conservation balance, the loss budget,
+/// and the rule that a shard can only shed after its ring high-water
+/// pinned at capacity.
 #[test]
-fn full_ring_shed_balances_and_shows_saturation_on_both_drivers() {
+fn full_ring_shed_balances_and_shows_saturation() {
     let _silence = silence_fault_panics();
     let q = 256;
     let shards = 4;
@@ -156,7 +220,7 @@ fn full_ring_shed_balances_and_shows_saturation_on_both_drivers() {
             },
             ..DriverConfig::default()
         };
-        let build = move || -> ShardedQMax<u64, u64, FaultyBackend<DeamortizedQMax<u64, u64>>> {
+        let mut engine: ShardedQMax<u64, u64, FaultyBackend<DeamortizedQMax<u64, u64>>> =
             ShardedQMax::with_backends(q, shards, move |s| {
                 let schedule = if s == stalling {
                     FaultSchedule::stall_at(2_000, 80)
@@ -164,58 +228,25 @@ fn full_ring_shed_balances_and_shows_saturation_on_both_drivers() {
                     FaultSchedule::none()
                 };
                 FaultyBackend::new(DeamortizedQMax::new(q, 0.25), schedule)
-            })
-        };
-        let mut ring_engine = build();
-        let ring_report = ring_engine.run_threaded(items.iter().copied(), config);
-        let mut mpsc_engine = build();
-        let mpsc_report = mpsc_engine.run_threaded_mpsc(items.iter().copied(), config);
+            });
+        let report = engine.run_threaded(items.iter().copied(), config);
 
-        for report in [&ring_report, &mpsc_report] {
-            assert_balanced(report);
-            assert_eq!(report.items, items.len() as u64, "seed {seed}");
-            // The shed budget bounds each shard's loss independently
-            // (same contract the chaos example pins).
-            for &d in &report.per_shard_dropped {
-                assert!(d <= budget, "seed {seed}: shed beyond per-shard budget");
-            }
+        assert_balanced(&report);
+        assert_eq!(report.items, items.len() as u64, "seed {seed}");
+        // The shed budget bounds each shard's loss independently
+        // (same contract the chaos example pins).
+        for &d in &report.per_shard_dropped {
+            assert!(d <= budget, "seed {seed}: shed beyond per-shard budget");
         }
         for s in 0..shards {
-            if ring_report.per_shard_dropped[s] > 0 {
+            if report.per_shard_dropped[s] > 0 {
                 assert!(
-                    ring_report.saturated(s),
+                    report.saturated(s),
                     "seed {seed}: shard {s} shed without its ring high-water hitting capacity"
                 );
             }
         }
-        let _ = (ring_engine.query(), mpsc_engine.query());
-    }
-}
-
-/// Multi-producer ingestion is pure re-partitioning: shard routing
-/// hashes keys, so any split of the stream across producer threads
-/// must land the same multiset on each shard and rebuild the same
-/// reservoir as the single-producer driver.
-#[test]
-fn partitioned_ingestion_matches_single_producer_driver() {
-    let q = 512;
-    let shards = 4;
-    let items = stream(50_000, 3);
-    let mut reference: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
-    let ref_report = reference.run_threaded(items.iter().copied(), DriverConfig::default());
-    let ref_vals = sorted_vals(reference.query());
-    for producers in [2usize, 4] {
-        let chunk = items.len().div_ceil(producers);
-        let streams: Vec<_> = items.chunks(chunk).map(|c| c.iter().copied()).collect();
-        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
-        let report = engine.run_threaded_partitioned(streams, DriverConfig::default());
-        assert_balanced(&report);
-        assert_eq!(report.items, ref_report.items);
-        assert_eq!(
-            report.per_shard_items, ref_report.per_shard_items,
-            "{producers} producers: hash routing must not depend on the split"
-        );
-        assert_eq!(sorted_vals(engine.query()), ref_vals);
+        let _ = engine.query();
     }
 }
 
