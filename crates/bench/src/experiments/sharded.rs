@@ -37,7 +37,10 @@ fn sorted_values(engine: &mut ShardedQMax<u64, u64>) -> Vec<u64> {
 }
 
 /// Sweeps shard count ∈ {1, 2, 4, 8} on Zipf and CAIDA-like streams,
-/// mirroring the series as `results/sharded_scaling.csv`. The threaded
+/// mirroring the series as `results/sharded_scaling.csv`.
+/// `admitted_per_item` is the share of the batched path's inserts that
+/// got past the engine's shared admission bound and a shard's Ψ — the
+/// admitted work sharding multiplies. The threaded
 /// driver (`run_threaded`, one producer, one SPSC ring per shard) must
 /// rebuild the same reservoir as the single-threaded batched path —
 /// asserted per row.
@@ -54,14 +57,16 @@ pub fn sharded_scaling(scale: &Scale) {
             "batch_mips",
             "threaded_mips",
             "load_factor",
+            "admitted_per_item",
         ],
     );
     for (name, items) in &traces {
         for shards in [1usize, 2, 4, 8] {
             let mut batched: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
+            let mut admitted = 0usize;
             let start = Instant::now();
             for chunk in items.chunks(BATCH) {
-                batched.insert_batch(chunk);
+                admitted += batched.insert_batch(chunk);
             }
             let batch_mips = mpps(items.len(), start.elapsed());
             let reference = sorted_values(&mut batched);
@@ -78,6 +83,7 @@ pub fn sharded_scaling(scale: &Scale) {
                 fmt(batch_mips),
                 fmt(report.throughput_mips()),
                 fmt(report.max_load_factor()),
+                format!("{:.4}", admitted as f64 / items.len() as f64),
             ]);
         }
     }

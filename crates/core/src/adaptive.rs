@@ -182,6 +182,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<
         }
     }
 
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        IntervalBackend::candidates_into(self, out);
+    }
+
     fn reset(&mut self) {
         match &mut self.inner {
             Inner::Aos(b) => b.reset(),

@@ -202,6 +202,10 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for AmortizedQMax<I, V> {
             .collect()
     }
 
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        self.candidates_into(out);
+    }
+
     fn reset(&mut self) {
         self.buf.clear();
         self.threshold = None;

@@ -258,27 +258,18 @@ impl<I: Clone, V: Ord + Clone> QMax<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn query(&mut self) -> Vec<(I, V)> {
-        // Valid candidates: everything except the not-yet-overwritten
-        // tail of the insertion zone (those slots hold items already
-        // discarded by a previous iteration).
-        let stale = if self.filling {
-            0..0
-        } else {
-            self.s2_start + self.steps..self.s2_start + self.g
-        };
-        let mut scratch: Vec<Entry<I, V>> = self
-            .buf
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !stale.contains(i))
-            .map(|(_, e)| e.clone())
-            .collect();
+        let mut scratch: Vec<Entry<I, V>> = Vec::with_capacity(self.len());
+        self.candidates_into(&mut scratch);
         if scratch.len() > self.q {
             let cut = scratch.len() - self.q;
             nth_smallest(&mut scratch, cut);
             scratch.drain(..cut);
         }
         scratch.into_iter().map(|e| (e.id, e.val)).collect()
+    }
+
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        self.candidates_into(out);
     }
 
     fn reset(&mut self) {
@@ -349,9 +340,8 @@ impl<I: Clone, V: Ord + Clone> IntervalBackend<I, V> for DeamortizedQMax<I, V> {
     }
 
     fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        // Same validity rule as `query`: skip the not-yet-overwritten
-        // tail of the insertion zone, whose slots hold items already
-        // discarded by a previous iteration.
+        // Skip the not-yet-overwritten tail of the insertion zone, whose
+        // slots hold items already discarded by a previous iteration.
         let stale = if self.filling {
             0..0
         } else {

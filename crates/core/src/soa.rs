@@ -305,6 +305,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax
             .collect()
     }
 
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        self.candidates_into(out);
+    }
+
     fn reset(&mut self) {
         // Keep the materialized lanes; only the live prefix matters.
         self.len = 0;
@@ -707,6 +711,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaDeamortizedQM
             si.drain(..cut);
         }
         si.into_iter().zip(sv).collect()
+    }
+
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        self.candidates_into(out);
     }
 
     fn reset(&mut self) {

@@ -42,9 +42,40 @@ pub trait QMax<I, V> {
         self.len() == 0
     }
 
+    /// Appends a superset of the current top-`q` to `out`, for a caller
+    /// that merges several structures and cuts to `q` once (the sharded
+    /// engine's merge-on-query). Order is unspecified.
+    ///
+    /// The default appends [`query`](QMax::query)'s exact answer.
+    /// Backends that store their candidates with the caller's values
+    /// unchanged (not, say, log-domain decayed scores) override it to
+    /// append the raw candidate set, at most their capacity, and skip
+    /// the per-structure selection and result allocation.
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        out.extend(
+            self.query()
+                .into_iter()
+                .map(|(id, val)| Entry::new(id, val)),
+        );
+    }
+
     /// The current admission threshold Ψ: a value such that items with
     /// `val <= Ψ` are provably not among the `q` largest and are dropped
     /// on arrival. `None` while no threshold has been established.
+    ///
+    /// **Retention contract.** A structure that reports `Some(Ψ)` makes
+    /// two promises, which the sharded engine relies on to push one
+    /// global admission bound back to every shard:
+    ///
+    /// * Ψ is monotone: once `Some`, later calls never report a smaller
+    ///   value or `None` (until [`reset`](QMax::reset));
+    /// * it never loses an item of its local top-`q`: whatever was among
+    ///   the `q` largest values it has been offered stays represented,
+    ///   so it always holds at least `min(q, offered)` items whose values
+    ///   are the top-`q` value multiset of everything offered.
+    ///
+    /// Structures whose retained set can shrink — sliding windows that
+    /// expire items, decayed scores that sink — must report `None`.
     fn threshold(&self) -> Option<V>;
 
     /// A short human-readable implementation name (used by the benchmark
@@ -156,6 +187,10 @@ impl<I, V, Q: QMax<I, V> + ?Sized> QMax<I, V> for Box<Q> {
 
     fn len(&self) -> usize {
         (**self).len()
+    }
+
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        (**self).gather_candidates(out)
     }
 
     fn threshold(&self) -> Option<V> {

@@ -13,7 +13,7 @@
 //! function of the shard's sub-stream under the blocking overload
 //! policy.
 
-use qmax_core::{BackendSnapshot, BatchInsert, Checkpoint, QMax};
+use qmax_core::{BackendSnapshot, BatchInsert, Checkpoint, Entry, QMax};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
 use std::time::Duration;
@@ -207,6 +207,10 @@ impl<I, V: Ord, B: QMax<I, V>> QMax<I, V> for FaultyBackend<B> {
 
     fn query(&mut self) -> Vec<(I, V)> {
         self.inner.query()
+    }
+
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+        self.inner.gather_candidates(out)
     }
 
     fn reset(&mut self) {

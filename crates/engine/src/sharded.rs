@@ -8,7 +8,6 @@ use qmax_core::{
 };
 use qmax_select::nth_smallest;
 use qmax_traces::hash;
-use std::marker::PhantomData;
 
 /// Default seed mixed into shard hashing (any fixed constant works; it
 /// only decorrelates shard assignment from other uses of the same key
@@ -47,6 +46,17 @@ impl ShardRouter {
 /// tests, which assert its merged result equals [`qmax_core::HeapQMax`]'s
 /// value-for-value.
 ///
+/// **Shared admission bound.** A shard filters against its own Ψ_s,
+/// which tracks roughly the global `(S·q)`-th largest value, so on its
+/// own each shard would admit about `S·q` items' worth of work. The
+/// engine therefore keeps one `bound`: an exact lower bound on the
+/// *global* `q`-th largest value, raised from the max of the shards' Ψ
+/// and from the minimum of every merged query result, and drops
+/// `val <= bound` before routing. It is the paper's network-wide merge
+/// (§6.4: one global threshold pushed back to every measurement point)
+/// inside one process; it relies on the retention contract of
+/// [`QMax::threshold`].
+///
 /// Construction:
 /// * [`ShardedQMax::new`] — `S` [`DeamortizedQMax`] shards (the paper's
 ///   worst-case-constant-time structure).
@@ -68,6 +78,13 @@ pub struct ShardedQMax<I, V, B = DeamortizedQMax<I, V>> {
     seed: u64,
     /// Items dropped by the batched pre-filter before reaching a shard.
     prefiltered: u64,
+    /// Exact lower bound on the global `q`-th largest value the shards
+    /// represent; only ever raised, and cleared whenever a shard backend
+    /// is replaced. See the type-level docs.
+    bound: Option<V>,
+    /// `insert_batch`'s per-shard runs, kept between calls so the hot
+    /// path does not allocate (grown on first use).
+    runs: Vec<Vec<(I, V)>>,
     /// Per-shard health as of the most recent threaded/supervised run
     /// (all [`ShardHealth::Healthy`] for a purely sequential engine).
     health: Vec<ShardHealth>,
@@ -75,7 +92,6 @@ pub struct ShardedQMax<I, V, B = DeamortizedQMax<I, V>> {
     /// effect the engine committed to represent, as of the most recent
     /// threaded/supervised run.
     conserved: Vec<u64>,
-    _marker: ItemMarker<I, V>,
 }
 
 /// How much of a shard's conserved state the current backend actually
@@ -120,10 +136,6 @@ impl<B> std::fmt::Debug for ShardFactory<B> {
         f.write_str("ShardFactory(..)")
     }
 }
-
-/// Variance-neutral marker tying the engine to its item types without
-/// owning them (a backend-generic engine stores only `B`s).
-type ItemMarker<I, V> = PhantomData<fn(I, V) -> (I, V)>;
 
 impl<I: Clone, V: Ord + Clone> ShardedQMax<I, V> {
     /// Creates `shards` de-amortized shards, each tracking the global
@@ -215,9 +227,10 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
             q,
             seed: DEFAULT_SEED,
             prefiltered: 0,
+            bound: None,
+            runs: Vec::new(),
             health: vec![ShardHealth::Healthy; stated_shards],
             conserved: vec![0; stated_shards],
-            _marker: PhantomData,
         }
     }
 
@@ -240,6 +253,7 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         if self.conserved[s] > 0 || !self.shards[s].is_empty() {
             self.health[s] = ShardHealth::Degraded;
         }
+        self.bound = None;
         std::mem::replace(&mut self.shards[s], fresh)
     }
 
@@ -272,6 +286,7 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     /// with a mismatched `q`.
     pub fn rebuild_shard_warm(&mut self, s: usize) -> usize {
         let fresh = self.fresh_shard(s);
+        self.bound = None;
         let mut old = std::mem::replace(&mut self.shards[s], fresh);
         let salvaged = old.query();
         let carried = salvaged.len();
@@ -324,9 +339,9 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         self.shards.iter().map(|s| s.backend_label()).collect()
     }
 
-    /// Items dropped by the batched pre-filter (cheap compare against a
-    /// cached Ψ) without touching a shard. Not counted in any shard's
-    /// own `filtered` statistic.
+    /// Items dropped by the batched pre-filter (one compare against the
+    /// shared admission bound) without touching a shard. Not counted in
+    /// any shard's own `filtered` statistic.
     pub fn prefiltered(&self) -> u64 {
         self.prefiltered
     }
@@ -406,8 +421,12 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
     }
 
     /// Moves the shard backends out (for worker threads); the engine is
-    /// not queryable until [`Self::restore_shards`] puts them back.
+    /// not queryable until [`Self::restore_shards`] puts them back. The
+    /// shared bound is cleared: a run may rebuild a shard or restore an
+    /// older checkpoint, so the backends that come back may represent
+    /// less than the ones that left.
     pub(crate) fn take_shards(&mut self) -> Vec<B> {
+        self.bound = None;
         std::mem::take(&mut self.shards)
     }
 
@@ -417,22 +436,22 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
         self.shards = shards;
     }
 
-    /// Batched hot path: inserts a batch, pre-filtering against each
-    /// shard's cached admission threshold Ψ before touching the shard.
+    /// Batched hot path: inserts a batch, dropping every item at or
+    /// below the shared admission bound before it is routed.
     ///
-    /// The Ψ load is hoisted out of the per-item loop: each shard's
-    /// threshold is read **once per call**, and the routing loop only
-    /// compares against that snapshot. Ψ can rise mid-batch (a shard
-    /// compaction), but re-reading it per item buys nothing for
-    /// correctness — the snapshot is a safe under-approximation (Ψ is
-    /// monotone non-decreasing, so the pre-filter drops only items the
-    /// shard itself would have filtered) and every shard re-checks its
-    /// own exact, current Ψ inside [`BatchInsert::insert_batch`]. The
-    /// next call picks up whatever the compactions raised.
+    /// The bound is first raised to the max of the shards' Ψ, read
+    /// **once per call**. Each Ψ_s is at most shard `s`'s local `q`-th
+    /// largest value, hence at most the global one, so the bound stays
+    /// exact: the pre-filter drops only items whose values cannot change
+    /// the top-`q` value multiset (`<=` is the comparison every shard
+    /// already uses, ties included). A Ψ raised mid-batch is picked up by
+    /// the next call, and every shard still re-checks its own Ψ inside
+    /// [`BatchInsert::insert_batch`]. A dropped item costs one compare:
+    /// it is never hashed.
     ///
-    /// Survivors are routed into per-shard runs and handed to each
-    /// backend as one contiguous batch, so a structure-of-arrays backend
-    /// (see [`ShardedQMax::new_soa`]) can run its branchless filter over
+    /// Survivors are routed into per-shard runs (scratch reused across
+    /// calls) and handed to each backend as one contiguous batch, so a
+    /// structure-of-arrays backend can run its branchless filter over
     /// the whole run. Returns the number of admitted items.
     pub fn insert_batch(&mut self, items: &[(I, V)]) -> usize
     where
@@ -445,26 +464,41 @@ impl<I, V, B: QMax<I, V>> ShardedQMax<I, V, B> {
             // the backend's own admission filter sees the batch whole.
             return self.shards[0].insert_batch(items);
         }
+        for shard in &self.shards {
+            if let Some(t) = shard.threshold() {
+                raise(&mut self.bound, t);
+            }
+        }
         let router = self.router();
-        let psi: Vec<Option<V>> = self.shards.iter().map(|s| s.threshold()).collect();
-        let mut runs: Vec<Vec<(I, V)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        // Taken, not borrowed: a shard that panics mid-batch leaves no
+        // stale run behind for the next call.
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.resize_with(self.shards.len(), Vec::new);
+        let mut dropped = 0u64;
         for (id, val) in items {
-            let s = router.route(id);
-            if let Some(t) = &psi[s] {
-                if val <= t {
-                    self.prefiltered += 1;
-                    continue;
-                }
+            if self.bound.as_ref().is_some_and(|b| val <= b) {
+                dropped += 1;
+                continue;
             }
-            runs[s].push((id.clone(), val.clone()));
+            runs[router.route(id)].push((id.clone(), val.clone()));
         }
+        self.prefiltered += dropped;
         let mut admitted = 0usize;
-        for (s, run) in runs.iter().enumerate() {
+        for (shard, run) in self.shards.iter_mut().zip(&mut runs) {
             if !run.is_empty() {
-                admitted += self.shards[s].insert_batch(run);
+                admitted += shard.insert_batch(run);
+                run.clear();
             }
         }
+        self.runs = runs;
         admitted
+    }
+}
+
+/// Raises `bound` to `v` if `v` is larger (or `bound` is unset).
+fn raise<V: Ord>(bound: &mut Option<V>, v: V) {
+    if bound.as_ref().is_none_or(|b| *b < v) {
+        *bound = Some(v);
     }
 }
 
@@ -637,22 +671,38 @@ impl<I: ShardKey, V: Ord + Clone, B: QMax<I, V>> QMax<I, V> for ShardedQMax<I, V
         self.shards[s].insert(id, val)
     }
 
+    /// The merged global top-`q`: every shard's raw candidates at or
+    /// above the shared bound (the global top-`q` all are), cut to `q` by
+    /// one selection. When every shard reports a Ψ, the result's
+    /// minimum — the global `q`-th largest value — then raises the
+    /// bound.
     fn query(&mut self) -> Vec<(I, V)> {
-        let mut merged: Vec<Entry<I, V>> = Vec::with_capacity(self.shards.len() * self.q);
+        if self.shards.len() == 1 {
+            // Single shard: its own query is the answer.
+            return self.shards[0].query();
+        }
+        let mut merged: Vec<Entry<I, V>> = Vec::new();
+        let mut all_psi = true;
         for shard in &mut self.shards {
-            merged.extend(
-                shard
-                    .query()
-                    .into_iter()
-                    .map(|(id, val)| Entry::new(id, val)),
-            );
+            all_psi &= shard.threshold().is_some();
+            let start = merged.len();
+            merged.reserve_exact(shard.len());
+            shard.gather_candidates(&mut merged);
+            if let Some(b) = &self.bound {
+                retain_at_least(&mut merged, start, b);
+            }
         }
         if merged.len() > self.q {
-            // Global top-q from the S·q candidates: select so the q
-            // largest occupy the suffix, then keep only that suffix.
+            // Select so the q largest occupy the suffix, then keep only
+            // that suffix.
             let cut = merged.len() - self.q;
             nth_smallest(&mut merged, cut);
             merged.drain(..cut);
+        }
+        if all_psi && merged.len() == self.q {
+            if let Some(min) = merged.iter().map(|e| &e.val).min() {
+                raise(&mut self.bound, min.clone());
+            }
         }
         merged.into_iter().map(|e| (e.id, e.val)).collect()
     }
@@ -662,6 +712,7 @@ impl<I: ShardKey, V: Ord + Clone, B: QMax<I, V>> QMax<I, V> for ShardedQMax<I, V
             shard.reset();
         }
         self.prefiltered = 0;
+        self.bound = None;
         self.health.fill(ShardHealth::Healthy);
         self.conserved.fill(0);
     }
@@ -693,6 +744,22 @@ impl<I: ShardKey, V: Ord + Clone, B: QMax<I, V>> QMax<I, V> for ShardedQMax<I, V
     fn name(&self) -> &'static str {
         "qmax-sharded"
     }
+}
+
+/// Drops the entries of `v[start..]` whose value is below `floor`,
+/// keeping the rest in place (order not preserved).
+fn retain_at_least<I, V: Ord>(v: &mut Vec<Entry<I, V>>, start: usize, floor: &V) {
+    let mut i = start;
+    let mut end = v.len();
+    while i < end {
+        if v[i].val < *floor {
+            end -= 1;
+            v.swap(i, end);
+        } else {
+            i += 1;
+        }
+    }
+    v.truncate(end);
 }
 
 impl<I: ShardKey + Clone, V: Ord + Clone, B: BatchInsert<I, V>> BatchInsert<I, V>
@@ -1031,6 +1098,93 @@ mod tests {
                 assert_eq!(l, "qmax-adaptive-aos");
             }
         }
+    }
+
+    /// Phase 1 puts the global top-`q` (huge values) on shard 0 and
+    /// filler on the rest, then queries so the shared bound rises to a
+    /// huge value. A cold rebuild of shard 0 must clear that bound: the
+    /// medium values inserted next are below it, yet they are the top-`q`
+    /// of what the engine still represents.
+    #[test]
+    fn cold_rebuild_clears_the_shared_bound() {
+        let q = 8;
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.5, 4);
+        let phase1: Vec<(u64, u64)> = (0..4_000u64)
+            .map(|id| {
+                let v = if engine.shard_of(&id) == 0 {
+                    1_000_000_000 + id
+                } else {
+                    id % 100
+                };
+                (id, v)
+            })
+            .collect();
+        let mut reference = HeapQMax::new(q);
+        for chunk in phase1.chunks(256) {
+            engine.insert_batch(chunk);
+        }
+        for &(id, v) in phase1.iter().filter(|(id, _)| engine.shard_of(id) != 0) {
+            reference.insert(id, v);
+        }
+        let before = sorted_vals(&mut engine);
+        assert!(before.iter().all(|&v| v >= 1_000_000_000));
+        assert!(engine.bound.is_some(), "query must set the bound");
+
+        engine.rebuild_shard(0);
+        assert_eq!(engine.bound, None);
+        let phase2: Vec<(u64, u64)> = (10_000..10_400u64).map(|id| (id, id)).collect();
+        for chunk in phase2.chunks(64) {
+            engine.insert_batch(chunk);
+        }
+        for &(id, v) in &phase2 {
+            reference.insert(id, v);
+        }
+        assert_eq!(sorted_vals(&mut engine), sorted_vals(&mut reference));
+    }
+
+    #[test]
+    fn query_bound_sheds_what_the_shard_thresholds_admit() {
+        // After a merged query the engine drops everything at or below
+        // the global q-th value, which the per-shard Ψ (each near the
+        // global (S·q)-th value) would still let through.
+        let q = 64;
+        let items: Vec<(u64, u64)> = (0..60_000u64).map(|i| (i, hash::mix64(i))).collect();
+        let (warm, rest) = items.split_at(30_000);
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.5, 4);
+        for chunk in warm.chunks(512) {
+            engine.insert_batch(chunk);
+        }
+        let top = engine.query();
+        let qth = top.iter().map(|&(_, v)| v).min().unwrap();
+        assert_eq!(engine.bound, Some(qth));
+        let max_psi = engine.shards().iter().filter_map(|s| s.threshold()).max();
+        assert!(max_psi < Some(qth), "bound no tighter than max Ψ");
+        let before = engine.prefiltered();
+        engine.insert_batch(&rest[..512]);
+        let dropped = engine.prefiltered() - before;
+        let at_or_below = rest[..512].iter().filter(|&&(_, v)| v <= qth).count();
+        assert_eq!(dropped, at_or_below as u64);
+    }
+
+    #[test]
+    fn warm_rebuild_and_reset_clear_the_shared_bound() {
+        let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(16, 0.5, 3);
+        let items: Vec<(u64, u64)> = (0..40_000u64).map(|i| (i, hash::mix64(i))).collect();
+        let (a, b) = items.split_at(20_000);
+        for chunk in a.chunks(1024) {
+            engine.insert_batch(chunk);
+        }
+        engine.query();
+        assert!(engine.bound.is_some());
+        engine.rebuild_shard_warm(1);
+        assert_eq!(engine.bound, None);
+        for chunk in b.chunks(1024) {
+            engine.insert_batch(chunk);
+        }
+        engine.query();
+        assert!(engine.bound.is_some());
+        engine.reset();
+        assert_eq!(engine.bound, None);
     }
 
     #[test]

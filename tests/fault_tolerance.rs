@@ -365,3 +365,95 @@ fn stall_watchdog_restarts_and_recovers_coverage() {
     assert_eq!(engine.shard_health()[stalled], ShardHealth::Restored);
     assert_eq!(annotated.items.len(), q);
 }
+
+/// The engine's shared admission bound, derived by a query before a
+/// supervised run, must not outlive the run. Here the failing shard
+/// holds the whole global top-q (huge values) when the engine is
+/// queried, then panics on its first batch of the run, before any
+/// in-run checkpoint, and is warm-restored from the empty snapshot. The
+/// merged top-q after the run must be exact over what the engine still
+/// represents, although all of it lies far below the pre-run bound.
+#[test]
+fn supervised_restore_after_query_keeps_merged_top_q_exact() {
+    let _silence = silence_fault_panics();
+    let q = 32;
+    let gamma = 0.25;
+    let shards = 4;
+    let failing = 1usize;
+    let batch = 256usize;
+    let router: ShardedQMax<u64, u64> = ShardedQMax::new(q, gamma, shards);
+    let before: Vec<(u64, u64)> = (0..8_000u64)
+        .map(|id| {
+            let v = if router.shard_of(&id) == failing {
+                1_000_000_000 + id
+            } else {
+                id % 1_000
+            };
+            (id, v)
+        })
+        .collect();
+    let during: Vec<(u64, u64)> = random_u64_stream(20_000, 7)
+        .enumerate()
+        .map(|(i, v)| (100_000 + i as u64, v % 1_000_000))
+        .collect();
+    let build = |panic_at: Option<u64>| {
+        ShardedQMax::with_backends(q, shards, move |s| {
+            let schedule = match panic_at {
+                Some(n) if s == failing => FaultSchedule::panic_at(n),
+                _ => FaultSchedule::none(),
+            };
+            FaultyBackend::new(AmortizedQMax::new(q, gamma), schedule)
+        })
+    };
+    // A fault-free dry run counts the failing shard's pre-run inserts,
+    // so the real one panics on the first insert of the run.
+    let mut dry: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> = build(None);
+    for chunk in before.chunks(512) {
+        dry.insert_batch(chunk);
+    }
+    let offered = dry.shards()[failing].offered();
+
+    let mut engine = build(Some(offered + 1));
+    for chunk in before.chunks(512) {
+        engine.insert_batch(chunk);
+    }
+    let top = sorted_vals(engine.query());
+    assert!(top.iter().all(|&v| v >= 1_000_000_000));
+    let report = engine.run_supervised(
+        during.iter().copied(),
+        DriverConfig {
+            batch_size: batch,
+            checkpoint_every: Some(batch as u64),
+            ..DriverConfig::default()
+        },
+    );
+    assert_eq!(report.lifecycle.restarts(failing), 1);
+    assert_eq!(report.per_shard_quarantined[failing], batch as u64);
+    assert_eq!(report.per_shard_recovered[failing], 0);
+    assert_balanced(&report);
+
+    // Represented: every pre-run item off the failing shard, and every
+    // run item except the failing shard's first (panicking) batch.
+    let mut reference = AmortizedQMax::new(q, gamma);
+    for &(id, v) in before
+        .iter()
+        .filter(|(id, _)| router.shard_of(id) != failing)
+    {
+        reference.insert(id, v);
+    }
+    let mut failing_pos = 0usize;
+    for &(id, v) in &during {
+        if router.shard_of(&id) == failing {
+            failing_pos += 1;
+            if failing_pos <= batch {
+                continue;
+            }
+        }
+        reference.insert(id, v);
+    }
+    assert_eq!(
+        sorted_vals(engine.query()),
+        sorted_vals(reference.query()),
+        "a pre-run bound survived the supervised run"
+    );
+}
