@@ -1,14 +1,12 @@
 //! Criterion microbenchmark: AoS vs SoA layout on the q-MAX insert hot
-//! loop. This is the acceptance gauge for the structure-of-arrays fast
-//! path: at q = 10⁴, γ = 1 on a Zipf(1.0) stream the SoA batched insert
-//! must clearly beat the AoS singleton-insert loop (see BENCH_soa.json
-//! for the recorded series and machine caveats).
+//! loop of the amortized q-MAX, the one structure with two layouts.
+//! This is the acceptance gauge for the structure-of-arrays fast path:
+//! at q = 10⁴, γ = 1 on a Zipf(1.0) stream the SoA batched insert must
+//! clearly beat the AoS loop (see BENCH_soa.json for the recorded series
+//! and machine caveats).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qmax_core::{
-    AmortizedQMax, BatchInsert, DeamortizedQMax, SoaAmortizedQMax, SoaDeamortizedQMax,
-};
-use qmax_engine::{QMax, ShardedQMax};
+use qmax_core::{AmortizedQMax, BatchInsert, SoaAmortizedQMax};
 use qmax_traces::gen::random_u64_stream;
 use qmax_traces::zipf::ZipfSampler;
 
@@ -44,47 +42,9 @@ fn bench_layouts(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("soa_amortized", gamma), &gamma, |b, &g| {
             b.iter(|| run_batched(SoaAmortizedQMax::new(Q, g), &items))
         });
-        group.bench_with_input(
-            BenchmarkId::new("aos_deamortized", gamma),
-            &gamma,
-            |b, &g| b.iter(|| run_batched(DeamortizedQMax::new(Q, g), &items)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("soa_deamortized", gamma),
-            &gamma,
-            |b, &g| b.iter(|| run_batched(SoaDeamortizedQMax::new(Q, g), &items)),
-        );
     }
     group.finish();
 }
 
-fn bench_sharded_soa(c: &mut Criterion) {
-    let items = zipf_stream(STREAM, 7);
-    let mut group = c.benchmark_group("soa_sharded/zipf");
-    group.throughput(Throughput::Elements(items.len() as u64));
-    group.sample_size(10);
-    for shards in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("aos", shards), &shards, |b, &s| {
-            b.iter(|| {
-                let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(Q, 1.0, s);
-                for chunk in items.chunks(BATCH) {
-                    engine.insert_batch(chunk);
-                }
-                engine.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("soa", shards), &shards, |b, &s| {
-            b.iter(|| {
-                let mut engine = ShardedQMax::new_soa(Q, 1.0, s);
-                for chunk in items.chunks(BATCH) {
-                    engine.insert_batch(chunk);
-                }
-                engine.len()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_layouts, bench_sharded_soa);
+criterion_group!(benches, bench_layouts);
 criterion_main!(benches);

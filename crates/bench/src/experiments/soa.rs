@@ -3,11 +3,12 @@
 //! The paper's throughput argument is entirely about the per-update
 //! constant; this experiment measures the layout half of that constant.
 //! For γ ∈ {0.25, 1, 4} it streams Zipf(1.0) and CAIDA-like traces
-//! through the array-of-structs backends (singleton-insert loop, the
-//! path every earlier figure timed) and their structure-of-arrays twins
-//! (branchless chunked Ψ-filter + value-lane selection kernels), asserts
-//! the two layouts produce the same reservoir, and reports millions of
-//! inserts per second plus the SoA speedup.
+//! through the array-of-structs amortized backend and its
+//! structure-of-arrays twin (branchless chunked Ψ-filter + value-lane
+//! selection kernels), asserts the two layouts produce the same
+//! reservoir, and reports millions of inserts per second plus the SoA
+//! speedup. The de-amortized variant has a single (array-of-structs)
+//! layout, so it has no row here.
 //!
 //! Series go to `results/soa_compare.csv` as usual; the same numbers are
 //! also written machine-readably to `BENCH_soa.json` in the working
@@ -16,9 +17,7 @@
 
 use crate::scale::Scale;
 use crate::{fmt, mpps, Report};
-use qmax_core::{
-    AmortizedQMax, BatchInsert, DeamortizedQMax, SoaAmortizedQMax, SoaDeamortizedQMax,
-};
+use qmax_core::{AmortizedQMax, BatchInsert, SoaAmortizedQMax};
 use qmax_traces::gen::{caida_like, random_u64_stream};
 use qmax_traces::zipf::ZipfSampler;
 use std::io::Write;
@@ -79,12 +78,10 @@ struct SeriesRow {
     gamma: f64,
     aos_amortized_mips: f64,
     soa_amortized_mips: f64,
-    aos_deamortized_mips: f64,
-    soa_deamortized_mips: f64,
 }
 
 /// Sweeps γ ∈ {0.25, 1, 4} × {zipf, caida} at q = 10⁴ comparing the AoS
-/// and SoA layouts of both q-MAX variants; mirrors the series as
+/// and SoA layouts of the amortized q-MAX; mirrors the series as
 /// `results/soa_compare.csv` and `BENCH_soa.json`.
 pub fn soa_compare(scale: &Scale) {
     println!("# AoS vs SoA layout: batched insert throughput (q=10^4)");
@@ -101,9 +98,6 @@ pub fn soa_compare(scale: &Scale) {
             "soa_am_mips",
             "am_speedup",
             "pr2_am_speedup",
-            "aos_de_mips",
-            "soa_de_mips",
-            "de_speedup",
         ],
     );
     let mut rows: Vec<SeriesRow> = Vec::new();
@@ -111,15 +105,9 @@ pub fn soa_compare(scale: &Scale) {
         for &gamma in &gammas {
             let (aos_am, top_aos_am) = time_batch(&mut AmortizedQMax::new(q, gamma), items);
             let (soa_am, top_soa_am) = time_batch(&mut SoaAmortizedQMax::new(q, gamma), items);
-            let (aos_de, top_aos_de) = time_batch(&mut DeamortizedQMax::new(q, gamma), items);
-            let (soa_de, top_soa_de) = time_batch(&mut SoaDeamortizedQMax::new(q, gamma), items);
             assert_eq!(
                 top_aos_am, top_soa_am,
                 "amortized layouts diverged on {name} gamma={gamma}"
-            );
-            assert_eq!(
-                top_aos_de, top_soa_de,
-                "de-amortized layouts diverged on {name} gamma={gamma}"
             );
             rep.row(&[
                 name.to_string(),
@@ -128,17 +116,12 @@ pub fn soa_compare(scale: &Scale) {
                 fmt(soa_am),
                 fmt(soa_am / aos_am),
                 fmt(pr2_am_speedup(name, gamma)),
-                fmt(aos_de),
-                fmt(soa_de),
-                fmt(soa_de / aos_de),
             ]);
             rows.push(SeriesRow {
                 trace: name,
                 gamma,
                 aos_amortized_mips: aos_am,
                 soa_amortized_mips: soa_am,
-                aos_deamortized_mips: aos_de,
-                soa_deamortized_mips: soa_de,
             });
         }
     }
@@ -151,6 +134,7 @@ fn write_bench_json(rows: &[SeriesRow], stream_len: usize, q: usize) {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut body = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -160,18 +144,13 @@ fn write_bench_json(rows: &[SeriesRow], stream_len: usize, q: usize) {
             concat!(
                 "    {{\"trace\": \"{}\", \"gamma\": {}, ",
                 "\"aos_amortized_mips\": {:.3}, \"soa_amortized_mips\": {:.3}, ",
-                "\"amortized_speedup\": {:.3}, ",
-                "\"aos_deamortized_mips\": {:.3}, \"soa_deamortized_mips\": {:.3}, ",
-                "\"deamortized_speedup\": {:.3}}}"
+                "\"amortized_speedup\": {:.3}}}"
             ),
             r.trace,
             r.gamma,
             r.aos_amortized_mips,
             r.soa_amortized_mips,
             r.soa_amortized_mips / r.aos_amortized_mips,
-            r.aos_deamortized_mips,
-            r.soa_deamortized_mips,
-            r.soa_deamortized_mips / r.aos_deamortized_mips,
         ));
     }
     let json = format!(
@@ -182,6 +161,7 @@ fn write_bench_json(rows: &[SeriesRow], stream_len: usize, q: usize) {
             "  \"q\": {q},\n",
             "  \"stream_len\": {n},\n",
             "  \"batch\": {batch},\n",
+            "  \"nproc\": {nproc},\n",
             "  \"machine_caveats\": \"wall-clock timing on a shared, unpinned machine ",
             "(no CPU isolation, no frequency control, container noise); ",
             "relative AoS-vs-SoA speedups are the signal, absolute MIPS are not ",
@@ -193,6 +173,7 @@ fn write_bench_json(rows: &[SeriesRow], stream_len: usize, q: usize) {
         q = q,
         n = stream_len,
         batch = BATCH,
+        nproc = nproc,
         body = body,
     );
     match std::fs::File::create("BENCH_soa.json").and_then(|mut f| f.write_all(json.as_bytes())) {

@@ -13,8 +13,7 @@ pub mod experiments;
 pub mod scale;
 
 use qmax_core::{
-    AmortizedQMax, DeamortizedQMax, HeapQMax, QMax, SkipListQMax, SoaAmortizedQMax,
-    SoaDeamortizedQMax, SortedVecQMax,
+    AmortizedQMax, DeamortizedQMax, HeapQMax, QMax, SkipListQMax, SoaAmortizedQMax, SortedVecQMax,
 };
 use std::io::Write;
 use std::time::Instant;
@@ -38,11 +37,6 @@ pub enum Backend {
         /// Space-slack parameter γ.
         gamma: f64,
     },
-    /// Structure-of-arrays de-amortized q-MAX with slack γ.
-    QMaxSoaDeamortized {
-        /// Space-slack parameter γ.
-        gamma: f64,
-    },
     /// Binary min-heap baseline.
     Heap,
     /// Skip-list baseline.
@@ -58,7 +52,6 @@ impl Backend {
             Backend::QMax { gamma } => format!("qmax(g={gamma})"),
             Backend::QMaxDeamortized { gamma } => format!("qmax-wc(g={gamma})"),
             Backend::QMaxSoa { gamma } => format!("qmax-soa(g={gamma})"),
-            Backend::QMaxSoaDeamortized { gamma } => format!("qmax-soa-wc(g={gamma})"),
             Backend::Heap => "heap".into(),
             Backend::SkipList => "skiplist".into(),
             Backend::SortedVec => "sortedvec".into(),
@@ -71,7 +64,6 @@ impl Backend {
             Backend::QMax { gamma } => Box::new(AmortizedQMax::new(q, gamma)),
             Backend::QMaxDeamortized { gamma } => Box::new(DeamortizedQMax::new(q, gamma)),
             Backend::QMaxSoa { gamma } => Box::new(SoaAmortizedQMax::new(q, gamma)),
-            Backend::QMaxSoaDeamortized { gamma } => Box::new(SoaDeamortizedQMax::new(q, gamma)),
             Backend::Heap => Box::new(HeapQMax::new(q)),
             Backend::SkipList => Box::new(SkipListQMax::new(q)),
             Backend::SortedVec => Box::new(SortedVecQMax::new(q)),
@@ -157,7 +149,6 @@ mod tests {
             Backend::QMax { gamma: 0.5 },
             Backend::QMaxDeamortized { gamma: 0.5 },
             Backend::QMaxSoa { gamma: 0.5 },
-            Backend::QMaxSoaDeamortized { gamma: 0.5 },
             Backend::Heap,
             Backend::SkipList,
             Backend::SortedVec,

@@ -18,10 +18,11 @@
 //!   into `O(γ⁻¹)`-operation steps interleaved with arrivals using the
 //!   suspendable selection machine from [`qmax_select`], yielding an
 //!   `O(γ⁻¹)` **worst-case** update time.
-//! * [`SoaAmortizedQMax`], [`SoaDeamortizedQMax`] — structure-of-arrays
-//!   twins of the two variants above for `Copy` primitive ids/values:
-//!   split `vals`/`ids` lanes, a branchless chunked Ψ-filter for
+//! * [`SoaAmortizedQMax`] — the structure-of-arrays twin of
+//!   [`AmortizedQMax`] for `Copy` primitive ids/values: split
+//!   `vals`/`ids` lanes, a branchless chunked Ψ-filter for
 //!   [`BatchInsert::insert_batch`], and value-only selection kernels.
+//!   [`AdaptiveBackend`] picks between the two layouts per structure.
 //! * [`HeapQMax`], [`SkipListQMax`], [`SortedVecQMax`] — the classical
 //!   `O(log q)` (or worse) baselines the paper compares against, built
 //!   from scratch on our own [`heap::MinHeap`] and [`skiplist::SkipList`].
@@ -81,14 +82,14 @@ pub use flow_table::{
 pub use heap::HeapQMax;
 pub use indexed_heap::{IndexedHeapQMax, IndexedMinHeap};
 pub use skiplist::{KeyedSkipListQMax, SkipListQMax};
-pub use soa::{SoaAmortizedQMax, SoaDeamortizedQMax};
+pub use soa::SoaAmortizedQMax;
 pub use sorted_vec::SortedVecQMax;
-pub use time_window::{AdaptiveTimeSlackQMax, SoaTimeSlackQMax, TimeSlackQMax};
+pub use time_window::{AdaptiveTimeSlackQMax, TimeSlackQMax};
 pub use traits::{BatchInsert, IntervalBackend, QMax};
 // Backend-policy types re-exported so callers configuring adaptive
 // structures need not depend on `qmax_select` directly.
 pub use qmax_select::{BackendChoice, BackendPolicy, CostModel, PolicyMode};
 pub use window::{
     AdaptiveBasicSlackQMax, AdaptiveHierSlackQMax, AdaptiveLazySlackQMax, BasicSlackQMax,
-    HierSlackQMax, LazySlackQMax, SoaBasicSlackQMax, SoaHierSlackQMax, SoaLazySlackQMax,
+    HierSlackQMax, LazySlackQMax,
 };

@@ -1,4 +1,4 @@
-//! Structure-of-arrays q-MAX backends for `Copy` primitive ids/values.
+//! Structure-of-arrays q-MAX backend for `Copy` primitive ids/values.
 //!
 //! The generic backends store `Entry<I, V>` structs in one `Vec`. For the
 //! `(u64, u64)`-shaped items every benchmark and app in this repo
@@ -13,30 +13,32 @@
 //!   data-dependent; on the skewed streams q-MAX targets, Ψ quickly
 //!   filters ~everything and the admit branch becomes rare-but-random.
 //!
-//! The backends here keep `vals: Vec<V>` and `ids: Vec<I>` in two
+//! The backend here keeps `vals: Vec<V>` and `ids: Vec<I>` in two
 //! parallel lanes. Batch admission runs a **branchless chunked
 //! Ψ-filter**: each chunk of arrivals is streamed with an unconditional
 //! store plus a compare-derived write-cursor increment
 //! (`w += (v > Ψ) as usize`), so rejected items are simply overwritten by
 //! the next arrival and the loop has no data-dependent branch at all.
-//! Compactions use the value-only selection kernels from
-//! [`qmax_select`] ([`qmax_select::paired_nth_smallest`],
-//! [`qmax_select::PairedNthElementMachine`]) which partition the dense
-//! value lane and mirror the permutation into the id lane.
+//! Compactions use the value-only selection kernel
+//! [`qmax_select::paired_nth_smallest`], which partitions the dense
+//! value lane and mirrors the permutation into the id lane.
 //!
-//! Both backends are drop-in behavioral twins of their
-//! array-of-structs counterparts — same admissions, same thresholds,
-//! same query results (up to the usual arbitrary tie-breaking on ids) —
-//! which the differential property tests in `tests/proptest_soa.rs` pin
-//! down. When ids are *not* `Copy` (boxed flow keys, strings), the AoS
-//! backends remain the right choice: there, moving an entry is a pointer
+//! The backend is a drop-in behavioral twin of
+//! [`AmortizedQMax`](crate::AmortizedQMax) — same admissions, same
+//! thresholds, same query results (up to the usual arbitrary
+//! tie-breaking on ids) — which the differential property tests in
+//! `tests/proptest_soa.rs` pin down. It is one of the two layouts
+//! [`AdaptiveBackend`](crate::AdaptiveBackend) picks between; the
+//! worst-case variant has one layout, the generic
+//! [`DeamortizedQMax`](crate::DeamortizedQMax). When ids are *not*
+//! `Copy` (boxed flow keys, strings), the AoS backends remain the
+//! right choice: there, moving an entry is a pointer
 //! move and the split-lane permutation mirroring would buy nothing.
 
-use crate::deamortized::DeamortizedStats;
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
 use qmax_select::kernels::{pivot_band, PIVOT_SEED, SAMPLED_COMPACT_MIN};
-use qmax_select::{paired_nth_smallest, Direction, Kernel, MachineStatus, PairedNthElementMachine};
+use qmax_select::{paired_nth_smallest, Kernel};
 
 /// Structure-of-arrays [`AmortizedQMax`](crate::AmortizedQMax): q-MAX
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
@@ -458,414 +460,10 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for SoaAm
     }
 }
 
-/// The two alternating buffer geometries of a de-amortized iteration
-/// (see [`crate::DeamortizedQMax`] for the full picture).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Parity {
-    /// Insertion zone at the right end `[q+g, n)`.
-    InsertRight,
-    /// Insertion zone at the left end `[0, g)`.
-    InsertLeft,
-}
-
-/// Structure-of-arrays [`DeamortizedQMax`](crate::DeamortizedQMax):
-/// q-MAX with **worst-case** `O(γ⁻¹)` updates over parallel `vals`/`ids`
-/// lanes, using the suspendable value-only selection machine
-/// ([`qmax_select::PairedNthElementMachine`]) so every compaction is
-/// spread over the insertion zone's arrivals exactly as in the AoS
-/// variant — same geometry, same budgets, same statistics.
-///
-/// ```
-/// use qmax_core::{BatchInsert, QMax, SoaDeamortizedQMax};
-/// let mut qm = SoaDeamortizedQMax::new(4, 0.5);
-/// let items: Vec<(u32, u64)> = (0u64..1000).map(|v| (v as u32, v)).collect();
-/// for chunk in items.chunks(64) {
-///     qm.insert_batch(chunk);
-/// }
-/// let mut top: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
-/// top.sort();
-/// assert_eq!(top, vec![996, 997, 998, 999]);
-/// ```
-#[derive(Debug)]
-pub struct SoaDeamortizedQMax<I, V> {
-    q: usize,
-    /// Insertion-zone size `⌈qγ/2⌉` (≥ 1).
-    g: usize,
-    /// Total buffer size `q + 2g`.
-    n: usize,
-    ids: Vec<I>,
-    vals: Vec<V>,
-    /// Arrivals stored during the initial fill (both lanes are
-    /// materialized to `n` slots up front; this tracks the live prefix).
-    len: usize,
-    /// Admission threshold Ψ.
-    threshold: Option<V>,
-    /// Whether the buffer is still filling for the very first time.
-    filling: bool,
-    /// Start of the current insertion zone.
-    s2_start: usize,
-    /// Admitted arrivals in the current iteration, `0..g`.
-    steps: usize,
-    parity: Parity,
-    machine: Option<PairedNthElementMachine<V>>,
-    /// Index that holds the new Ψ when the current iteration completes.
-    boundary: usize,
-    /// Per-arrival operation budget for the selection machine.
-    budget: usize,
-    stats: DeamortizedStats,
-    /// SIMD dispatch handle for the batch admit path.
-    kernel: Kernel<V>,
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaDeamortizedQMax<I, V> {
-    /// Creates a de-amortized q-MAX for the `q` largest items with
-    /// space-slack parameter `gamma` (γ): `q + 2⌈qγ/2⌉` slots per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0` or `gamma` is not a positive finite number.
-    /// Use [`SoaDeamortizedQMax::try_new`] at fallible API boundaries.
-    pub fn new(q: usize, gamma: f64) -> Self {
-        Self::try_new(q, gamma).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`SoaDeamortizedQMax::new`]: rejects `q == 0` and
-    /// non-positive / non-finite `gamma` instead of panicking.
-    pub fn try_new(q: usize, gamma: f64) -> Result<Self, crate::QMaxError> {
-        crate::error::check_q_gamma(q, gamma)?;
-        let g = ((q as f64) * gamma / 2.0).ceil() as usize;
-        let g = g.max(1);
-        let n = q + 2 * g;
-        let budget =
-            (qmax_select::WORK_BOUND_FACTOR * (q + g)).div_ceil(g) + qmax_select::WORK_BOUND_FACTOR;
-        Ok(SoaDeamortizedQMax {
-            q,
-            g,
-            n,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            filling: true,
-            s2_start: q + g,
-            steps: 0,
-            parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
-            budget,
-            stats: DeamortizedStats::default(),
-            kernel: Kernel::detect(),
-        })
-    }
-
-    /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
-    /// path with `Kernel::scalar()` to measure the vectorization gain).
-    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
-        self.kernel = kernel;
-    }
-
-    /// Total buffer capacity `q + 2⌈qγ/2⌉`.
-    pub fn capacity(&self) -> usize {
-        self.n
-    }
-
-    /// The per-arrival selection-machine operation budget (`O(γ⁻¹)`).
-    pub fn step_budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Execution counters (same meaning as the AoS variant's).
-    pub fn stats(&self) -> DeamortizedStats {
-        self.stats
-    }
-
-    /// Materializes both lanes to `n` slots on first use, seeded with
-    /// copies of the given item (the slots beyond `len` are never read
-    /// until overwritten).
-    #[inline]
-    fn ensure_storage(&mut self, id: I, val: V) {
-        if self.vals.len() != self.n {
-            self.vals.resize(self.n, val);
-            self.ids.resize(self.n, id);
-        }
-    }
-
-    /// Starts the selection for the current parity (same geometry as
-    /// [`crate::DeamortizedQMax`]).
-    fn begin_iteration(&mut self) {
-        debug_assert!(self.len == self.n || (self.filling && self.len == self.q + self.g));
-        let (lo, hi, k, dir, boundary) = match self.parity {
-            Parity::InsertRight => (0, self.q + self.g, self.g, Direction::Ascending, self.g),
-            Parity::InsertLeft => (
-                self.g,
-                self.n,
-                self.q - 1,
-                Direction::Descending,
-                self.g + self.q - 1,
-            ),
-        };
-        self.machine = Some(PairedNthElementMachine::new(lo, hi, k, dir));
-        self.boundary = boundary;
-    }
-
-    /// Completes the current iteration: finishes the selection if it has
-    /// not already converged, raises Ψ, and flips the geometry.
-    fn finish_iteration(&mut self) {
-        let mut machine = self.machine.take().expect("iteration must have a machine");
-        if !machine.is_finished() {
-            machine.run_to_completion(&mut self.vals, &mut self.ids);
-            self.stats.forced_completions += 1;
-        }
-        self.stats.total_ops += machine.total_ops();
-        self.stats.max_step_ops = self.stats.max_step_ops.max(machine.max_step_ops());
-        self.stats.iterations += 1;
-        let psi = self.vals[self.boundary];
-        self.threshold = Some(match self.threshold.take() {
-            Some(old) if old > psi => old,
-            _ => psi,
-        });
-        self.parity = match self.parity {
-            Parity::InsertRight => {
-                self.s2_start = 0;
-                Parity::InsertLeft
-            }
-            Parity::InsertLeft => {
-                self.s2_start = self.q + self.g;
-                Parity::InsertRight
-            }
-        };
-        self.steps = 0;
-        self.begin_iteration();
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaDeamortizedQMax<I, V> {
-    #[inline]
-    fn insert(&mut self, id: I, val: V) -> bool {
-        if let Some(t) = self.threshold {
-            if val <= t {
-                self.stats.filtered += 1;
-                return false;
-            }
-        }
-        self.stats.admitted += 1;
-        if self.filling {
-            self.ensure_storage(id, val);
-            self.vals[self.len] = val;
-            self.ids[self.len] = id;
-            self.len += 1;
-            let len = self.len;
-            if len == self.q + self.g {
-                self.parity = Parity::InsertRight;
-                self.begin_iteration();
-            } else if len > self.q + self.g {
-                self.steps += 1;
-                let machine = self
-                    .machine
-                    .as_mut()
-                    .expect("machine started when zone filled");
-                machine.step(&mut self.vals, &mut self.ids, self.budget);
-                if len == self.n {
-                    debug_assert_eq!(self.steps, self.g);
-                    self.filling = false;
-                    self.finish_iteration();
-                }
-            }
-            return true;
-        }
-        let slot = self.s2_start + self.steps;
-        self.vals[slot] = val;
-        self.ids[slot] = id;
-        self.steps += 1;
-        let machine = self
-            .machine
-            .as_mut()
-            .expect("steady state always has a machine");
-        machine.step(&mut self.vals, &mut self.ids, self.budget);
-        if self.steps == self.g {
-            self.finish_iteration();
-        }
-        true
-    }
-
-    fn query(&mut self) -> Vec<(I, V)> {
-        // Valid candidates: everything except the not-yet-overwritten
-        // tail of the insertion zone (already-discarded items).
-        let (live, stale) = if self.filling {
-            (self.len, 0..0)
-        } else {
-            (self.n, self.s2_start + self.steps..self.s2_start + self.g)
-        };
-        let mut sv: Vec<V> = Vec::with_capacity(live);
-        let mut si: Vec<I> = Vec::with_capacity(live);
-        for i in 0..live {
-            if !stale.contains(&i) {
-                sv.push(self.vals[i]);
-                si.push(self.ids[i]);
-            }
-        }
-        if sv.len() > self.q {
-            let cut = sv.len() - self.q;
-            paired_nth_smallest(&mut sv, &mut si, cut);
-            sv.drain(..cut);
-            si.drain(..cut);
-        }
-        si.into_iter().zip(sv).collect()
-    }
-
-    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
-        self.candidates_into(out);
-    }
-
-    fn reset(&mut self) {
-        // Keep the materialized lanes; reset the logical state.
-        self.len = 0;
-        self.threshold = None;
-        self.filling = true;
-        self.s2_start = self.q + self.g;
-        self.steps = 0;
-        self.parity = Parity::InsertRight;
-        self.machine = None;
-        self.stats = DeamortizedStats::default();
-    }
-
-    fn q(&self) -> usize {
-        self.q
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        if self.filling {
-            self.len
-        } else {
-            self.n - (self.g - self.steps)
-        }
-    }
-
-    #[inline]
-    fn threshold(&self) -> Option<V> {
-        self.threshold
-    }
-
-    fn name(&self) -> &'static str {
-        "qmax-soa-deamortized"
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaDeamortizedQMax<I, V> {
-    /// Branchless chunked Ψ-filter for the steady state: arrivals are
-    /// streamed into the insertion zone by the vectorized admit kernel
-    /// ([`Kernel::admit_pairs`]), then the selection machine is advanced
-    /// by one per-arrival budget per survivor (identical work accounting
-    /// to singleton inserts — the worst-case bound per arrival is
-    /// unchanged). Chunks are sized to the insertion zone's remaining
-    /// room, so Ψ — which only rises at iteration boundaries — is
-    /// constant within each chunk and one load per chunk is exact.
-    ///
-    /// The initial fill (first `q + 2g` admitted arrivals) takes the
-    /// singleton path: it's a one-time warm-up with per-item geometry
-    /// transitions that isn't worth a second kernel.
-    fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
-        let mut admitted = 0usize;
-        let mut i = 0;
-        while i < items.len() && self.filling {
-            let (id, v) = items[i];
-            admitted += usize::from(self.insert(id, v));
-            i += 1;
-        }
-        while i < items.len() {
-            let take = (self.g - self.steps).min(items.len() - i);
-            let start = self.s2_start + self.steps;
-            // In-bounds: the cursor stays inside the insertion zone
-            // [s2_start, s2_start + g) for every store. (Steady state
-            // always has a threshold — set by the iteration that ended
-            // the fill — and the kernel admits everything when `None`.)
-            let w = self.kernel.admit_pairs(
-                &items[i..i + take],
-                self.threshold,
-                &mut self.vals,
-                &mut self.ids,
-                start,
-                self.s2_start + self.g,
-            );
-            let kept = w - start;
-            admitted += kept;
-            self.stats.admitted += kept as u64;
-            self.stats.filtered += (take - kept) as u64;
-            self.steps += kept;
-            i += take;
-            // One budget-bounded machine step per admitted arrival, as in
-            // the singleton path; rejected arrivals fund no work there
-            // either. The machine runs on the selection zone, disjoint
-            // from the insertion zone written above, so write/step order
-            // within the chunk is immaterial.
-            let machine = self
-                .machine
-                .as_mut()
-                .expect("steady state always has a machine");
-            for _ in 0..kept {
-                if machine.step(&mut self.vals, &mut self.ids, self.budget)
-                    == MachineStatus::Finished
-                {
-                    break;
-                }
-            }
-            if self.steps == self.g {
-                self.finish_iteration();
-            }
-        }
-        admitted
-    }
-}
-
-impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V>
-    for SoaDeamortizedQMax<I, V>
-{
-    fn fresh(&self) -> Self {
-        SoaDeamortizedQMax {
-            q: self.q,
-            g: self.g,
-            n: self.n,
-            ids: Vec::new(),
-            vals: Vec::new(),
-            len: 0,
-            threshold: None,
-            filling: true,
-            s2_start: self.q + self.g,
-            steps: 0,
-            parity: Parity::InsertRight,
-            machine: None,
-            boundary: 0,
-            budget: self.budget,
-            stats: DeamortizedStats::default(),
-            kernel: self.kernel,
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        self.n
-    }
-
-    fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
-        // Same validity rule as `query`: skip the not-yet-overwritten
-        // tail of the insertion zone.
-        let (live, stale) = if self.filling {
-            (self.len, 0..0)
-        } else {
-            (self.n, self.s2_start + self.steps..self.s2_start + self.g)
-        };
-        for i in 0..live {
-            if !stale.contains(&i) {
-                out.push(Entry::new(self.ids[i], self.vals[i]));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AmortizedQMax, DeamortizedQMax};
+    use crate::AmortizedQMax;
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -909,25 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_deamortized_matches_reference() {
-        let mut state = 11u64;
-        for q in [1usize, 2, 7, 64, 500] {
-            for gamma in [0.05, 0.25, 1.0, 2.0] {
-                let vals: Vec<u64> = (0..8000).map(|_| splitmix(&mut state) % 100_000).collect();
-                let mut qm = SoaDeamortizedQMax::new(q, gamma);
-                for (i, &v) in vals.iter().enumerate() {
-                    qm.insert(i as u32, v);
-                }
-                assert_eq!(
-                    sorted_vals(qm.query()),
-                    top_q_reference(&vals, q),
-                    "q={q} gamma={gamma}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batch_equals_singletons_amortized() {
         let mut state = 3u64;
         for chunk_size in [1usize, 7, 64, 1024] {
@@ -952,31 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_singletons_deamortized() {
-        let mut state = 5u64;
-        for chunk_size in [1usize, 13, 256, 2048] {
-            let items: Vec<(u32, u64)> = (0..9000)
-                .map(|i| (i as u32, splitmix(&mut state) % 20_000))
-                .collect();
-            let mut by_one = SoaDeamortizedQMax::new(61, 0.5);
-            let mut by_batch = SoaDeamortizedQMax::new(61, 0.5);
-            let mut one_admitted = 0usize;
-            for &(id, v) in &items {
-                one_admitted += usize::from(by_one.insert(id, v));
-            }
-            let mut batch_admitted = 0usize;
-            for chunk in items.chunks(chunk_size) {
-                batch_admitted += by_batch.insert_batch(chunk);
-            }
-            assert_eq!(one_admitted, batch_admitted, "chunk={chunk_size}");
-            assert_eq!(by_one.threshold(), by_batch.threshold());
-            assert_eq!(by_one.stats().filtered, by_batch.stats().filtered);
-            assert_eq!(by_one.stats().admitted, by_batch.stats().admitted);
-            assert_eq!(sorted_vals(by_one.query()), sorted_vals(by_batch.query()));
-        }
-    }
-
-    #[test]
     fn soa_matches_aos_threshold_trajectory() {
         let mut state = 21u64;
         let items: Vec<(u32, u64)> = (0..20_000)
@@ -990,60 +544,11 @@ mod tests {
             assert_eq!(a, s, "admission diverged at id={id}");
             assert_eq!(aos.threshold(), soa.threshold());
         }
-        let mut aos_d = DeamortizedQMax::new(64, 0.5);
-        let mut soa_d = SoaDeamortizedQMax::new(64, 0.5);
-        for &(id, v) in &items {
-            let a = aos_d.insert(id, v);
-            let s = soa_d.insert(id, v);
-            assert_eq!(a, s, "admission diverged at id={id}");
-            assert_eq!(aos_d.threshold(), soa_d.threshold());
-        }
-        assert_eq!(aos_d.stats(), soa_d.stats());
-    }
-
-    #[test]
-    fn soa_deamortized_work_bound_holds() {
-        let mut state = 5u64;
-        for gamma in [0.05, 0.5] {
-            let mut qm = SoaDeamortizedQMax::new(100, gamma);
-            let items: Vec<(u32, u64)> = (0..200_000u64)
-                .map(|i| (i as u32, splitmix(&mut state)))
-                .collect();
-            for chunk in items.chunks(1024) {
-                qm.insert_batch(chunk);
-            }
-            assert_eq!(qm.stats().forced_completions, 0, "gamma={gamma}");
-            assert!(
-                qm.stats().max_step_ops <= qm.step_budget() as u64 + 32,
-                "max step ops {} exceeds budget {}",
-                qm.stats().max_step_ops,
-                qm.step_budget()
-            );
-            assert!(qm.stats().iterations > 0);
-        }
-    }
-
-    #[test]
-    fn query_mid_iteration_is_correct() {
-        let mut state = 23u64;
-        let vals: Vec<u64> = (0..3000).map(|_| splitmix(&mut state) % 10_000).collect();
-        let q = 16;
-        let mut qm = SoaDeamortizedQMax::new(q, 0.5);
-        for (i, &v) in vals.iter().enumerate() {
-            qm.insert(i as u32, v);
-            if i % 97 == 0 {
-                assert_eq!(
-                    sorted_vals(qm.query()),
-                    top_q_reference(&vals[..=i], q),
-                    "at i={i}"
-                );
-            }
-        }
     }
 
     #[test]
     fn reset_preserves_correctness() {
-        let mut qm = SoaDeamortizedQMax::new(5, 0.5);
+        let mut qm = SoaAmortizedQMax::new(5, 0.5);
         for v in 0u64..1000 {
             qm.insert(v as u32, v);
         }
@@ -1066,15 +571,10 @@ mod tests {
     fn all_equal_stream_keeps_q_items() {
         let items: Vec<(u32, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
         let mut am = SoaAmortizedQMax::new(7, 0.5);
-        let mut de = SoaDeamortizedQMax::new(7, 0.5);
         am.insert_batch(&items);
-        de.insert_batch(&items);
         let a = am.query();
-        let d = de.query();
         assert_eq!(a.len(), 7);
-        assert_eq!(d.len(), 7);
         assert!(a.iter().all(|&(_, v)| v == 42));
-        assert!(d.iter().all(|&(_, v)| v == 42));
     }
 
     #[test]
@@ -1103,12 +603,10 @@ mod tests {
             .collect();
         for chunk_size in [64usize, 1000] {
             let mut am = SoaAmortizedQMax::new(50, 0.8);
-            let mut de = SoaDeamortizedQMax::new(50, 0.8);
             for chunk in items.chunks(chunk_size) {
                 am.insert_batch(chunk);
-                de.insert_batch(chunk);
             }
-            for (id, v) in am.query().into_iter().chain(de.query()) {
+            for (id, v) in am.query() {
                 assert_eq!(items[id as usize].1, v, "pair broken for id={id}");
             }
         }
@@ -1226,6 +724,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "gamma must be positive")]
     fn bad_gamma_panics() {
-        let _ = SoaDeamortizedQMax::<u32, u64>::new(5, -1.0);
+        let _ = SoaAmortizedQMax::<u32, u64>::new(5, -1.0);
     }
 }

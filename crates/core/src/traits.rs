@@ -96,10 +96,9 @@ pub trait QMax<I, V> {
 /// `insert_batch` is semantically identical to inserting the items one by
 /// one in order — same admissions, same final state — but lets an
 /// implementation amortize per-call overhead and use cache-friendly
-/// kernels over the whole slice. The structure-of-arrays backends
-/// ([`crate::SoaAmortizedQMax`], [`crate::SoaDeamortizedQMax`]) exploit
-/// this with a branchless chunked Ψ-filter; the generic impls simply
-/// loop.
+/// kernels over the whole slice. The structure-of-arrays backend
+/// ([`crate::SoaAmortizedQMax`]) exploits this with a branchless chunked
+/// Ψ-filter; the generic impls simply loop.
 pub trait BatchInsert<I, V>: QMax<I, V> {
     /// Offers every item of `items` to the structure, in order.
     ///

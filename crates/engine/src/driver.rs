@@ -155,9 +155,11 @@ pub struct ShardFailure {
 /// What a threaded run did: per-shard load, loss accounting, failures,
 /// backpressure high-water marks, and aggregate timing.
 ///
-/// Every routed item lands in exactly one bucket per shard:
-/// `per_shard_items[s] == per_shard_drained[s] + per_shard_dropped[s]
-/// + per_shard_quarantined[s]`.
+/// Every routed item lands in exactly one bucket per shard `s`:
+///
+/// ```text
+/// per_shard_items[s] == per_shard_drained[s] + per_shard_dropped[s] + per_shard_quarantined[s]
+/// ```
 #[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Total items routed.

@@ -17,13 +17,12 @@
 //!   only rises, the snapshot is always a safe under-approximation: the
 //!   pre-filter never drops an item the shard would have admitted, and
 //!   the shard re-checks its exact Ψ internally.
-//! * **Structure-of-arrays shards** — [`ShardedQMax::new_soa`] (and
-//!   `new_soa_amortized`) build shards from the split-lane
-//!   [`qmax_core::SoaDeamortizedQMax`] /
-//!   [`qmax_core::SoaAmortizedQMax`] backends: branchless batch
-//!   admission and value-only selection kernels for `Copy` primitive
-//!   ids/values, the hot-loop constant the paper's throughput argument
-//!   rests on.
+//! * **Any backend, one layout each** — [`ShardedQMax::with_backends`]
+//!   builds shards from any backend factory, e.g. the split-lane
+//!   [`qmax_core::SoaAmortizedQMax`] (branchless batch admission and
+//!   value-only selection kernels for `Copy` primitive ids/values);
+//!   [`ShardedQMax::new_windowed`] and [`ShardedQMax::new_decayed`] let
+//!   each shard's adaptive backend pick its layout.
 //! * **Merge on query** — each shard retains its local top-`q`; any
 //!   global top-`q` item is beaten by at most `q − 1` items globally, so
 //!   certainly by at most `q − 1` within its own shard. The union of the
@@ -94,5 +93,5 @@ pub use supervisor::{LifecycleEvent, ShardLifecycle, ShardState, WatchdogConfig}
 
 pub use qmax_core::{
     BackendSnapshot, BatchInsert, Checkpoint, DeamortizedQMax, DeamortizedStats, QMax,
-    SoaAmortizedQMax, SoaDeamortizedQMax,
+    SoaAmortizedQMax,
 };

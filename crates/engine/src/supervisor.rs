@@ -23,7 +23,10 @@
 //!   checkpoint in place (the backend survives the unwind; `restore`
 //!   fully overwrites whatever the panic left behind), so post-fault
 //!   loss is bounded by one checkpoint interval plus the in-flight
-//!   batch, instead of the whole shard.
+//!   batch, instead of the whole shard. A `snapshot` or `restore` that
+//!   panics itself is that shard's failure: the shard is permanently
+//!   quarantined (and rebuilt cold after the run if its checkpoint
+//!   cannot be restored).
 //! * **Stall watchdog** — the heartbeat is the shard ring's
 //!   consumption counter ([`crate::ring::Producer::consumed`], the
 //!   number of batches the worker has popped), plus an explicit bump
@@ -377,6 +380,22 @@ impl<I, V, B> SupShared<I, V, B> {
         self.quarantined[s].fetch_add(lost, Ordering::SeqCst);
     }
 
+    /// Permanently quarantines shard `s` from its own worker: fences
+    /// the generation, retires the ring (the producer sees it close and
+    /// orphans the rest of the sub-stream), rolls progress back to the
+    /// last checkpoint, and records the failure message.
+    fn quarantine(&self, s: usize, checkpointing: bool, msg: String) {
+        self.healthy[s].store(false, Ordering::SeqCst);
+        self.gens[s].fetch_add(1, Ordering::SeqCst);
+        self.retire_producer(s, &mut self.slots[s].lock().unwrap());
+        if checkpointing {
+            let slot = self.ckpts[s].lock().unwrap();
+            self.reclassify_to_checkpoint(s, &slot);
+        }
+        *self.fail_msgs[s].lock().unwrap() = Some(msg.clone());
+        self.push_event(s, ShardState::Quarantined, msg);
+    }
+
     /// Retires a shard's current ring producer: folds the ring's
     /// high-water occupancy into the cross-generation accumulator,
     /// then drops the handle (which closes the ring, ending — or
@@ -405,6 +424,15 @@ fn supervised_worker<I, V, B>(
     V: Ord,
     B: BatchInsert<I, V> + Checkpoint<I, V>,
 {
+    // Counts this worker out however it exits, unwinding included: the
+    // producer's shutdown waits for the count to reach zero.
+    struct Exit<'a>(&'a AtomicUsize);
+    impl Drop for Exit<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    let _exit = Exit(&sh.live_workers);
     if let Some(core) = pin_core {
         ring::pin_current_thread(core);
     }
@@ -439,16 +467,25 @@ fn supervised_worker<I, V, B>(
                             // already advanced the ring's consumption
                             // counter, which is what the watchdog reads.
                             since_ckpt += len;
-                            if let Some(k) = ckpt_every {
-                                if since_ckpt >= k {
-                                    let mut slot = sh.ckpts[s].lock().unwrap();
-                                    slot.snap = Some(b.snapshot());
-                                    slot.drained_at = sh.drained[s].load(Ordering::SeqCst);
-                                    slot.admitted_at = sh.admitted[s].load(Ordering::SeqCst);
-                                    since_ckpt = 0;
+                            if ckpt_every.is_some_and(|k| since_ckpt >= k) {
+                                since_ckpt = 0;
+                                match catch_unwind(AssertUnwindSafe(|| b.snapshot())) {
+                                    Ok(snap) => {
+                                        let mut slot = sh.ckpts[s].lock().unwrap();
+                                        slot.snap = Some(snap);
+                                        slot.drained_at = sh.drained[s].load(Ordering::SeqCst);
+                                        slot.admitted_at = sh.admitted[s].load(Ordering::SeqCst);
+                                        drop(slot);
+                                        live = Some(b);
+                                    }
+                                    Err(payload) => {
+                                        let msg = panic_message(payload);
+                                        sh.quarantine(s, true, format!("snapshot: {msg}"));
+                                    }
                                 }
+                            } else {
+                                live = Some(b);
                             }
-                            live = Some(b);
                         }
                     }
                     Err(payload) => {
@@ -464,37 +501,41 @@ fn supervised_worker<I, V, B>(
                             }
                             sh.push_event(s, ShardState::Restarting(attempt), msg);
                             thread::sleep(backoff_delay(&wd, s, attempt));
-                            {
+                            // The restore runs under `catch_unwind`
+                            // inside the lock, so a panicking restore
+                            // cannot poison the checkpoint slot.
+                            let restored = {
                                 let slot = sh.ckpts[s].lock().unwrap();
-                                match &slot.snap {
+                                catch_unwind(AssertUnwindSafe(|| match &slot.snap {
                                     Some(snap) => {
                                         b.restore(snap);
-                                        sh.recovered[s]
-                                            .fetch_add(snap.len() as u64, Ordering::SeqCst);
+                                        snap.len() as u64
                                     }
-                                    None => b.restore(&BackendSnapshot::empty()),
+                                    None => {
+                                        b.restore(&BackendSnapshot::empty());
+                                        0
+                                    }
+                                }))
+                            };
+                            sh.restoring[s].store(false, Ordering::SeqCst);
+                            match restored {
+                                Ok(entries) => {
+                                    sh.recovered[s].fetch_add(entries, Ordering::SeqCst);
+                                    since_ckpt = 0;
+                                    sh.healthy[s].store(true, Ordering::SeqCst);
+                                    sh.hearts[s].fetch_add(1, Ordering::SeqCst);
+                                    sh.push_event(s, ShardState::Healthy, "warm restore complete");
+                                    live = Some(b);
+                                }
+                                Err(payload) => {
+                                    let msg = panic_message(payload);
+                                    sh.quarantine(s, true, format!("restore: {msg}"));
                                 }
                             }
-                            since_ckpt = 0;
-                            sh.healthy[s].store(true, Ordering::SeqCst);
-                            sh.restoring[s].store(false, Ordering::SeqCst);
-                            sh.hearts[s].fetch_add(1, Ordering::SeqCst);
-                            sh.push_event(s, ShardState::Healthy, "warm restore complete");
-                            live = Some(b);
                         } else {
                             // Budget exhausted (or checkpointing off):
-                            // permanent quarantine, PR 4 style. Fence
-                            // the generation and retire the ring (the
-                            // producer sees it close and orphans).
-                            sh.gens[s].fetch_add(1, Ordering::SeqCst);
-                            sh.retire_producer(s, &mut sh.slots[s].lock().unwrap());
-                            if ckpt_every.is_some() {
-                                let slot = sh.ckpts[s].lock().unwrap();
-                                sh.reclassify_to_checkpoint(s, &slot);
-                            }
-                            *sh.fail_msgs[s].lock().unwrap() = Some(msg.clone());
-                            sh.push_event(s, ShardState::Quarantined, msg);
-                            drop(b);
+                            // permanent quarantine.
+                            sh.quarantine(s, ckpt_every.is_some(), msg);
                         }
                     }
                 }
@@ -507,7 +548,6 @@ fn supervised_worker<I, V, B>(
             sh.outcomes.lock().unwrap().push((s, b));
         }
     }
-    sh.live_workers.fetch_sub(1, Ordering::SeqCst);
 }
 
 impl<I, V, B> ShardedQMax<I, V, B>
@@ -663,13 +703,22 @@ where
                             // the counters back to the checkpoint the
                             // replacement resumes from.
                             let new_gen = sh.gens[s].fetch_add(1, Ordering::SeqCst) + 1;
-                            {
+                            let restored = {
                                 let slot = sh.ckpts[s].lock().unwrap();
                                 sh.reclassify_to_checkpoint(s, &slot);
-                                if let Some(snap) = &slot.snap {
-                                    spare.restore(snap);
-                                    sh.recovered[s].fetch_add(snap.len() as u64, Ordering::SeqCst);
-                                }
+                                catch_unwind(AssertUnwindSafe(|| {
+                                    if let Some(snap) = &slot.snap {
+                                        spare.restore(snap);
+                                        sh.recovered[s]
+                                            .fetch_add(snap.len() as u64, Ordering::SeqCst);
+                                    }
+                                }))
+                            };
+                            if let Err(payload) = restored {
+                                let msg = panic_message(payload);
+                                sh.quarantine(s, true, format!("restore: {msg}"));
+                                suspect[s] = false;
+                                continue;
                             }
                             let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
                             {
@@ -821,13 +870,23 @@ where
                         items_lost: per_shard_quarantined[s],
                     });
                     let mut fresh = self.fresh_shard(s);
-                    match &slot.snap {
-                        Some(snap) => {
-                            fresh.restore(snap);
-                            per_shard_recovered[s] += snap.len() as u64;
+                    let restored = slot.snap.as_ref().and_then(|snap| {
+                        catch_unwind(AssertUnwindSafe(|| fresh.restore(snap)))
+                            .ok()
+                            .map(|()| snap.len() as u64)
+                    });
+                    match restored {
+                        Some(entries) => {
+                            per_shard_recovered[s] += entries;
                             health.push(ShardHealth::Restored);
                         }
-                        None => health.push(ShardHealth::Degraded),
+                        None => {
+                            if slot.snap.is_some() {
+                                // The restore panicked midway: start cold.
+                                fresh = self.fresh_shard(s);
+                            }
+                            health.push(ShardHealth::Degraded);
+                        }
                     }
                     returned.push(fresh);
                 }

@@ -25,7 +25,6 @@
 //! written, so no store ever leaves the caller-provided bounds; the
 //! remainder runs the scalar tail.
 
-use super::RunPred;
 use core::arch::x86_64::*;
 
 /// Left-pack shuffles: entry `m` lists, as 8×u32 indices, the qword
@@ -374,40 +373,4 @@ fn scatter_one(
     out_vals[*w] = v;
     out_ids[*w] = id;
     *w += 1;
-}
-
-/// Machine assist: longest all-`pred` prefix, 4 lanes at a time.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn prefix_class_run_u64(vals: &[u64], pivot: u64, pred: RunPred) -> usize {
-    let n = vals.len();
-    let p = vals.as_ptr();
-    let pv = _mm256_set1_epi64x(pivot as i64);
-    let pvb = bias(pv);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let v = _mm256_loadu_si256(p.add(i) as *const __m256i);
-        let hit = match pred {
-            RunPred::Lt => _mm256_cmpgt_epi64(pvb, bias(v)),
-            RunPred::Gt => _mm256_cmpgt_epi64(bias(v), pvb),
-            RunPred::Eq => _mm256_cmpeq_epi64(v, pv),
-        };
-        let mask = qmask(hit) as u32;
-        if mask != 0b1111 {
-            return i + mask.trailing_ones() as usize;
-        }
-        i += 4;
-    }
-    while i < n {
-        let v = vals[i];
-        let hit = match pred {
-            RunPred::Lt => v < pivot,
-            RunPred::Gt => v > pivot,
-            RunPred::Eq => v == pivot,
-        };
-        if !hit {
-            return i;
-        }
-        i += 1;
-    }
-    n
 }

@@ -16,7 +16,6 @@
 //! compress stores touch only the lanes the mask admits, which by the
 //! callers' cursor invariants always lie inside the destination slice.
 
-use super::RunPred;
 use core::arch::x86_64::*;
 
 /// `vpermt2q` index vectors selecting the id (even) and value (odd)
@@ -197,38 +196,4 @@ pub(super) unsafe fn partition3_desc_u64(
         *w += 1;
     }
     debug_assert!(wg == ngt && we == eq_end && wl == n);
-}
-
-/// Machine assist: longest all-`pred` prefix, 8 lanes at a time.
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn prefix_class_run_u64(vals: &[u64], pivot: u64, pred: RunPred) -> usize {
-    let n = vals.len();
-    let p = vals.as_ptr();
-    let pv = _mm512_set1_epi64(pivot as i64);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let v = _mm512_loadu_si512(p.add(i) as *const _);
-        let mask = match pred {
-            RunPred::Lt => _mm512_cmplt_epu64_mask(v, pv),
-            RunPred::Gt => _mm512_cmpgt_epu64_mask(v, pv),
-            RunPred::Eq => _mm512_cmpeq_epi64_mask(v, pv),
-        };
-        if mask != 0xFF {
-            return i + mask.trailing_ones() as usize;
-        }
-        i += 8;
-    }
-    while i < n {
-        let v = vals[i];
-        let hit = match pred {
-            RunPred::Lt => v < pivot,
-            RunPred::Gt => v > pivot,
-            RunPred::Eq => v == pivot,
-        };
-        if !hit {
-            return i;
-        }
-        i += 1;
-    }
-    n
 }

@@ -8,8 +8,7 @@
 //! * **(b) three-way partition** — split a value lane around a pivot
 //!   with the same permutation mirrored into the id lane
 //!   ([`Kernel::partition3_desc`], plus the counting pass
-//!   [`Kernel::count_gt_eq`] and the machine assist
-//!   [`Kernel::prefix_class_run`]);
+//!   [`Kernel::count_gt_eq`]);
 //! * **(c) pivot-sample scan** — min/max sweep plus a deterministic
 //!   `O(√n)` quantile sample that yields a near-exact compaction pivot
 //!   ([`Kernel::min_max`], [`Kernel::sample_pivot`]; the SQUID approach
@@ -27,7 +26,7 @@
 //!    to pin the portable path).
 //!
 //! Otherwise every call runs the always-correct scalar fallback in
-//! [`scalar`] — the *same* code the SIMD paths must match bit-for-bit
+//! `scalar` — the *same* code the SIMD paths must match bit-for-bit
 //! on the defined output region (differential property tests in
 //! `tests/proptest_kernels.rs` pin this down).
 //!
@@ -75,18 +74,6 @@ pub enum KernelKind {
     Avx512,
     /// NEON over 2×u64 lanes (aarch64, runtime-detected).
     Neon,
-}
-
-/// Predicate for [`Kernel::prefix_class_run`]: which class of elements
-/// (relative to the pivot) the run counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunPred {
-    /// Elements strictly below the pivot.
-    Lt,
-    /// Elements strictly above the pivot.
-    Gt,
-    /// Elements equal to the pivot.
-    Eq,
 }
 
 /// Seed base for the deterministic pivot sample; a structure's k-th
@@ -433,33 +420,6 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
         scalar::partition3_desc(vals, ids, pivot, ngt, neq, out_vals, out_ids)
     }
 
-    /// Machine assist for kernel (b): length of the longest prefix of
-    /// `vals` whose elements all satisfy `pred` relative to `pivot`.
-    pub fn prefix_class_run(&self, vals: &[V], pivot: V, pred: RunPred) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kind, KernelKind::Avx2 | KernelKind::Avx512) {
-            if let Some(lane) = lane_u64(vals) {
-                // SAFETY: the kind implies the matching runtime check
-                // passed.
-                return unsafe {
-                    if self.kind == KernelKind::Avx512 {
-                        avx512::prefix_class_run_u64(lane, val_u64(pivot), pred)
-                    } else {
-                        avx2::prefix_class_run_u64(lane, val_u64(pivot), pred)
-                    }
-                };
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        if self.kind == KernelKind::Neon {
-            if let Some(lane) = lane_u64(vals) {
-                // SAFETY: kind == Neon implies the runtime check passed.
-                return unsafe { neon::prefix_class_run_u64(lane, val_u64(pivot), pred) };
-            }
-        }
-        scalar::prefix_class_run(vals, pivot, pred)
-    }
-
     /// Kernel (c): estimates the value with ascending rank `rank` in
     /// `vals` from a deterministic `O(√n)` sample (positions exactly as
     /// [`sample_positions`] yields for `(vals.len(), seed)`), selecting
@@ -598,34 +558,6 @@ mod tests {
                 }
                 for region in [&oi[..ngt], &oi[ngt..eq_end], &oi[eq_end..]] {
                     assert!(region.windows(2).all(|w| w[0] < w[1]), "region not stable");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn prefix_runs_match_scalar() {
-        let scalar = Kernel::<u64>::scalar();
-        for k in kernels() {
-            for n in [0usize, 1, 7, 8, 64, 1000] {
-                for pat in 0..4u64 {
-                    let vals: Vec<u64> = (0..n as u64)
-                        .map(|i| match pat {
-                            0 => 5,
-                            1 => i % 11,
-                            2 => 10 - (i % 11).min(10),
-                            _ => 5 + (i >= (n as u64) / 2) as u64,
-                        })
-                        .collect();
-                    for pred in [RunPred::Lt, RunPred::Gt, RunPred::Eq] {
-                        for pivot in [0u64, 5, 6, u64::MAX] {
-                            assert_eq!(
-                                scalar.prefix_class_run(&vals, pivot, pred),
-                                k.prefix_class_run(&vals, pivot, pred),
-                                "run diverged n={n} pat={pat} pred={pred:?} pivot={pivot}"
-                            );
-                        }
-                    }
                 }
             }
         }

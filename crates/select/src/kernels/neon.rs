@@ -13,7 +13,6 @@
 //! the dispatch layer guarantees this. Wide (2-lane) stores are only
 //! issued while `cursor + 2 <= limit`, with a scalar tail.
 
-use super::RunPred;
 use core::arch::aarch64::*;
 
 /// Kernel (a): Ψ-filter admit over `(u64, u64)` pairs; `vld2q_u64`
@@ -116,43 +115,4 @@ pub(super) unsafe fn min_max_u64(vals: &[u64]) -> (u64, u64) {
         mx = mx.max(v);
     }
     (mn, mx)
-}
-
-/// Machine assist: longest all-`pred` prefix, 2 lanes at a time.
-#[target_feature(enable = "neon")]
-pub(super) unsafe fn prefix_class_run_u64(vals: &[u64], pivot: u64, pred: RunPred) -> usize {
-    let n = vals.len();
-    let p = vals.as_ptr();
-    let pv = vdupq_n_u64(pivot);
-    let mut i = 0usize;
-    while i + 2 <= n {
-        let v = vld1q_u64(p.add(i));
-        let hit = match pred {
-            RunPred::Lt => vcgtq_u64(pv, v),
-            RunPred::Gt => vcgtq_u64(v, pv),
-            RunPred::Eq => vceqq_u64(v, pv),
-        };
-        let h0 = vgetq_lane_u64::<0>(hit) != 0;
-        let h1 = vgetq_lane_u64::<1>(hit) != 0;
-        if !h0 {
-            return i;
-        }
-        if !h1 {
-            return i + 1;
-        }
-        i += 2;
-    }
-    while i < n {
-        let v = vals[i];
-        let hit = match pred {
-            RunPred::Lt => v < pivot,
-            RunPred::Gt => v > pivot,
-            RunPred::Eq => v == pivot,
-        };
-        if !hit {
-            return i;
-        }
-        i += 1;
-    }
-    n
 }

@@ -6,8 +6,6 @@
 //! types other than `u64`, for CPUs without the vector features, and
 //! under `QMAX_FORCE_SCALAR`.
 
-use super::RunPred;
-
 /// Ψ-filter batch admit: branchless store-then-conditionally-advance,
 /// identical to the hand-rolled loops previously inlined in
 /// `qmax-core`'s SoA backends.
@@ -111,21 +109,4 @@ pub(super) fn partition3_desc<I: Copy, V: Ord + Copy>(
         "partition counts inconsistent: wg={wg}/{ngt} we={we}/{eq_end} wl={wl}/{n}"
     );
     (ngt, eq_end)
-}
-
-#[inline]
-pub(super) fn prefix_class_run<V: Ord + Copy>(vals: &[V], pivot: V, pred: RunPred) -> usize {
-    let mut run = 0usize;
-    for &v in vals {
-        let hit = match pred {
-            RunPred::Lt => v < pivot,
-            RunPred::Gt => v > pivot,
-            RunPred::Eq => v == pivot,
-        };
-        if !hit {
-            break;
-        }
-        run += 1;
-    }
-    run
 }

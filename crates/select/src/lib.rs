@@ -22,10 +22,10 @@
 //!   within `s` steps.
 //! * [`PartitionMachine`] — a suspendable three-way partition around a
 //!   fixed pivot value.
-//! * [`paired_nth_smallest`] / [`PairedNthElementMachine`] —
-//!   structure-of-arrays variants that select on a dense value lane and
-//!   mirror the permutation into a parallel id lane, so pivot scans
-//!   stream over 8-byte elements instead of 16-byte structs.
+//! * [`paired_nth_smallest`] — the structure-of-arrays variant of
+//!   [`nth_smallest`]: it selects on a dense value lane and mirrors the
+//!   permutation into a parallel id lane, so pivot scans stream over
+//!   8-byte elements instead of 16-byte structs.
 //! * low-level helpers: [`partition3`], [`insertion_sort`],
 //!   [`median_of_five`].
 //!
@@ -48,14 +48,12 @@ mod quickselect;
 mod soa;
 mod topk;
 
-pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, RunPred, GROUP_WIDTH};
+pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, GROUP_WIDTH};
 pub use machine::{
     Direction, MachineStatus, NthElementMachine, PartitionMachine, WORK_BOUND_FACTOR,
 };
 pub use partition::{insertion_sort, median_of_five, partition3};
 pub use policy::{calibrate, lane_is_u64, BackendChoice, BackendPolicy, CostModel, PolicyMode};
 pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest};
-pub use soa::{
-    paired_insertion_sort, paired_nth_smallest, paired_partition3, PairedNthElementMachine,
-};
+pub use soa::{paired_insertion_sort, paired_nth_smallest, paired_partition3};
 pub use topk::{top_k_indices, top_k_suffix};

@@ -18,15 +18,8 @@
 //! * [`paired_nth_smallest`] — introselect over `(vals, ids)`: expected
 //!   linear with a median-of-medians fallback, same contract as
 //!   [`crate::nth_smallest`].
-//! * [`PairedNthElementMachine`] — the suspendable bounded-work
-//!   counterpart of [`crate::NthElementMachine`]. It performs the same
-//!   elementary operations with the same unit costs, so the
-//!   [`crate::WORK_BOUND_FACTOR`] work bound applies unchanged and the
-//!   de-amortized q-MAX budget arithmetic carries over verbatim.
 //! * low-level helpers: [`paired_partition3`], [`paired_insertion_sort`].
 
-use crate::kernels::{Kernel, RunPred};
-use crate::machine::{Direction, MachineStatus};
 use core::cmp::Ordering;
 
 /// Ranges of at most this many elements are solved by direct insertion
@@ -60,23 +53,6 @@ pub fn paired_insertion_sort<V: Ord, I>(vals: &mut [V], ids: &mut [I], lo: usize
     for i in lo + 1..hi {
         let mut j = i;
         while j > lo && vals[j - 1] > vals[j] {
-            swap2(vals, ids, j - 1, j);
-            j -= 1;
-        }
-    }
-}
-
-/// Direction-aware paired insertion sort (used by the machine).
-fn paired_insertion_sort_dir<V: Ord, I>(
-    vals: &mut [V],
-    ids: &mut [I],
-    lo: usize,
-    hi: usize,
-    dir: Direction,
-) {
-    for i in lo + 1..hi {
-        let mut j = i;
-        while j > lo && dir.cmp(&vals[j - 1], &vals[j]) == Ordering::Greater {
             swap2(vals, ids, j - 1, j);
             j -= 1;
         }
@@ -228,357 +204,9 @@ fn paired_mom_pivot<V: Ord + Copy, I>(
     lo + mid
 }
 
-/// Control state of one paired selection frame.
-#[derive(Debug)]
-enum Phase<V> {
-    /// Frame freshly (re-)entered; dispatch on range size.
-    Start,
-    /// Insertion-sorting a small range; `i` is the next element to place.
-    SmallSort { i: usize },
-    /// Packing group-of-5 medians to the front of the range.
-    Medians { next_group: usize, packed: usize },
-    /// A child frame is selecting the median of the packed medians.
-    AwaitPivot,
-    /// Three-way partition around `pivot` in progress.
-    Partition {
-        lt: usize,
-        i: usize,
-        gt: usize,
-        pivot: V,
-    },
-}
-
-#[derive(Debug)]
-struct Frame<V> {
-    lo: usize,
-    hi: usize,
-    /// Absolute index at which the sought order statistic must land.
-    target: usize,
-    phase: Phase<V>,
-}
-
-/// The suspendable, bounded-work counterpart of
-/// [`crate::NthElementMachine`] operating on parallel value/id lanes.
-///
-/// The machine holds only indices and (Copy) pivot values — never a
-/// borrow of either lane — so, exactly like the AoS machine, the caller
-/// may mutate the buffers *outside* the configured `[lo, hi)` range
-/// between steps. The id lane is passed to every [`step`](Self::step)
-/// call and receives the same permutation as the value lane; since the
-/// machine never stores ids, each call may even use a different id type
-/// (in practice callers fix one).
-///
-/// Elementary-operation accounting matches [`crate::NthElementMachine`]
-/// unit for unit, so the [`crate::WORK_BOUND_FACTOR`]` * n` total-work
-/// bound — and therefore the de-amortized q-MAX per-arrival budget —
-/// holds unchanged.
-///
-/// ```
-/// use qmax_select::{Direction, MachineStatus, PairedNthElementMachine};
-/// let mut vals = vec![5u64, 1, 9, 3, 7, 2, 8, 0, 6, 4, 11, 13, 12, 15, 14,
-///                     21, 20, 23, 22, 25, 24, 27, 26, 29, 28, 31, 30];
-/// let mut ids: Vec<u32> = (0..vals.len() as u32).collect();
-/// let mut m = PairedNthElementMachine::new(0, vals.len(), 4, Direction::Ascending);
-/// while m.step(&mut vals, &mut ids, 8) == MachineStatus::InProgress {}
-/// assert_eq!(vals[4], 4);
-/// assert_eq!(ids[4], 9); // the id that arrived with value 4
-/// ```
-#[derive(Debug)]
-pub struct PairedNthElementMachine<V> {
-    frames: Vec<Frame<V>>,
-    dir: Direction,
-    result: Option<usize>,
-    total_ops: u64,
-    max_step_ops: u64,
-    /// Vectorized assist for the partition phase (resolved once at
-    /// construction; see [`crate::kernels`]).
-    kernel: Kernel<V>,
-}
-
-impl<V: Ord + Copy + 'static> PairedNthElementMachine<V> {
-    /// Creates a machine that will place the `k`-th value (0-based) of
-    /// `vals[lo..hi]` — in `dir` order — at index `lo + k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty or `k` is out of range.
-    pub fn new(lo: usize, hi: usize, k: usize, dir: Direction) -> Self {
-        assert!(lo < hi, "empty selection range [{lo}, {hi})");
-        assert!(k < hi - lo, "selection index {k} out of range {}", hi - lo);
-        PairedNthElementMachine {
-            frames: vec![Frame {
-                lo,
-                hi,
-                target: lo + k,
-                phase: Phase::Start,
-            }],
-            dir,
-            result: None,
-            total_ops: 0,
-            max_step_ops: 0,
-            kernel: Kernel::detect(),
-        }
-    }
-
-    /// Whether the selection has completed.
-    pub fn is_finished(&self) -> bool {
-        self.result.is_some()
-    }
-
-    /// Absolute index of the selected element once finished.
-    pub fn result_index(&self) -> Option<usize> {
-        self.result
-    }
-
-    /// Total elementary operations performed so far.
-    pub fn total_ops(&self) -> u64 {
-        self.total_ops
-    }
-
-    /// Largest number of elementary operations performed by a single
-    /// [`step`](Self::step) call (may exceed the budget by the cost of
-    /// one indivisible unit, a bounded constant).
-    pub fn max_step_ops(&self) -> u64 {
-        self.max_step_ops
-    }
-
-    /// Runs at most ~`budget` elementary operations of the selection.
-    ///
-    /// Same contract as [`crate::NthElementMachine::step`]: a step never
-    /// stops mid-unit, so the actual work may exceed `budget` by a small
-    /// constant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either lane is shorter than the machine's range.
-    #[inline]
-    pub fn step<I>(&mut self, vals: &mut [V], ids: &mut [I], budget: usize) -> MachineStatus {
-        if self.result.is_some() {
-            return MachineStatus::Finished;
-        }
-        let mut rem = budget as i64;
-        let step_start = self.total_ops;
-        while rem > 0 && self.result.is_none() {
-            rem -= self.advance_unit(vals, ids, rem as u64) as i64;
-        }
-        let used = self.total_ops - step_start;
-        if used > self.max_step_ops {
-            self.max_step_ops = used;
-        }
-        if self.result.is_some() {
-            MachineStatus::Finished
-        } else {
-            MachineStatus::InProgress
-        }
-    }
-
-    /// Runs the machine to completion and returns the index of the
-    /// selected element.
-    pub fn run_to_completion<I>(&mut self, vals: &mut [V], ids: &mut [I]) -> usize {
-        while self.result.is_none() {
-            self.advance_unit(vals, ids, u64::MAX / 4);
-        }
-        self.result.expect("machine just finished")
-    }
-
-    /// Executes one unit of work of at most ~`max_cost` operations;
-    /// returns its operation cost. Mirrors the AoS machine's unit costs
-    /// exactly.
-    fn advance_unit<I>(&mut self, vals: &mut [V], ids: &mut [I], max_cost: u64) -> u64 {
-        let dir = self.dir;
-        let kernel = self.kernel;
-        let fidx = self.frames.len() - 1;
-        let frame = &mut self.frames[fidx];
-        assert!(
-            frame.hi <= vals.len() && frame.hi <= ids.len(),
-            "lanes shorter than machine range"
-        );
-        let (lo, hi, target) = (frame.lo, frame.hi, frame.target);
-        let cost: u64;
-        enum Outcome {
-            Continue,
-            FrameDone,
-            PushChild { clo: usize, chi: usize, ck: usize },
-        }
-        let outcome;
-        match &mut frame.phase {
-            Phase::Start => {
-                cost = 1;
-                if hi - lo <= SMALL {
-                    frame.phase = Phase::SmallSort { i: lo + 1 };
-                } else {
-                    frame.phase = Phase::Medians {
-                        next_group: lo,
-                        packed: 0,
-                    };
-                }
-                outcome = Outcome::Continue;
-            }
-            Phase::SmallSort { i } => {
-                if *i >= hi {
-                    outcome = Outcome::FrameDone;
-                    cost = 1;
-                } else {
-                    let mut j = *i;
-                    let mut moved = 1u64;
-                    while j > lo && dir.cmp(&vals[j - 1], &vals[j]) == Ordering::Greater {
-                        swap2(vals, ids, j - 1, j);
-                        j -= 1;
-                        moved += 1;
-                    }
-                    *i += 1;
-                    cost = moved;
-                    outcome = Outcome::Continue;
-                }
-            }
-            Phase::Medians { next_group, packed } => {
-                if *next_group >= hi {
-                    let ngroups = *packed;
-                    debug_assert!(ngroups >= 1);
-                    frame.phase = Phase::AwaitPivot;
-                    outcome = Outcome::PushChild {
-                        clo: lo,
-                        chi: lo + ngroups,
-                        ck: (ngroups - 1) / 2,
-                    };
-                    cost = 1;
-                } else {
-                    let g = *next_group;
-                    let len = (hi - g).min(5);
-                    paired_insertion_sort_dir(vals, ids, g, g + len, dir);
-                    let median = g + (len - 1) / 2;
-                    swap2(vals, ids, lo + *packed, median);
-                    *packed += 1;
-                    *next_group += len;
-                    cost = 12;
-                    outcome = Outcome::Continue;
-                }
-            }
-            Phase::AwaitPivot => {
-                unreachable!("AwaitPivot frames are resumed only via child completion")
-            }
-            Phase::Partition { lt, i, gt, pivot } => {
-                if *i < *gt {
-                    // The machine's hot path: a whole budget's worth of
-                    // elements in one tight loop over the value lane.
-                    // Vectorized assists consume a same-class run in one
-                    // kernel call, each element charged the same 2 ops as
-                    // the scalar path and the run capped by the remaining
-                    // budget, so the machine's state *and* cost accounting
-                    // stay identical to the scalar machine. The assists
-                    // are only attempted where a run is likely — paying a
-                    // dispatched kernel call per scalar element would eat
-                    // the win (measured ~25% on the de-amortized path):
-                    //
-                    // * the Less-run only while `lt == i` (the unbroken
-                    //   all-Less prefix, where the Less-branch swap is a
-                    //   self-swap no-op and a run just advances both
-                    //   cursors);
-                    // * the Equal-run only right after a scalar Equal
-                    //   step, because duplicates cluster.
-                    let mut c = 0u64;
-                    while *i < *gt && c < max_cost {
-                        let room = (((max_cost - c) / 2) as usize).min(*gt - *i);
-                        if *lt == *i && room >= 8 {
-                            let pred = match dir {
-                                Direction::Ascending => RunPred::Lt,
-                                Direction::Descending => RunPred::Gt,
-                            };
-                            let run = kernel.prefix_class_run(&vals[*i..*i + room], *pivot, pred);
-                            if run > 0 {
-                                *lt += run;
-                                *i += run;
-                                c += 2 * run as u64;
-                                continue;
-                            }
-                        }
-                        match dir.cmp(&vals[*i], pivot) {
-                            Ordering::Less => {
-                                swap2(vals, ids, *lt, *i);
-                                *lt += 1;
-                                *i += 1;
-                            }
-                            Ordering::Greater => {
-                                *gt -= 1;
-                                swap2(vals, ids, *i, *gt);
-                            }
-                            Ordering::Equal => {
-                                *i += 1;
-                                c += 2;
-                                let room =
-                                    (((max_cost.saturating_sub(c)) / 2) as usize).min(*gt - *i);
-                                if room >= 8 {
-                                    let run = kernel.prefix_class_run(
-                                        &vals[*i..*i + room],
-                                        *pivot,
-                                        RunPred::Eq,
-                                    );
-                                    *i += run;
-                                    c += 2 * run as u64;
-                                }
-                                continue;
-                            }
-                        }
-                        c += 2;
-                    }
-                    cost = c;
-                    outcome = Outcome::Continue;
-                } else {
-                    let (plo, phi) = (*lt, *gt);
-                    cost = 1;
-                    if target < plo {
-                        frame.hi = plo;
-                        frame.phase = Phase::Start;
-                        outcome = Outcome::Continue;
-                    } else if target >= phi {
-                        frame.lo = phi;
-                        frame.phase = Phase::Start;
-                        outcome = Outcome::Continue;
-                    } else {
-                        outcome = Outcome::FrameDone;
-                    }
-                }
-            }
-        }
-        self.total_ops += cost;
-        match outcome {
-            Outcome::Continue => {}
-            Outcome::PushChild { clo, chi, ck } => {
-                self.frames.push(Frame {
-                    lo: clo,
-                    hi: chi,
-                    target: clo + ck,
-                    phase: Phase::Start,
-                });
-            }
-            Outcome::FrameDone => {
-                let done = self.frames.pop().expect("frame stack non-empty");
-                let t = done.target;
-                match self.frames.last_mut() {
-                    None => self.result = Some(t),
-                    Some(parent) => {
-                        let Phase::AwaitPivot = parent.phase else {
-                            unreachable!("parent of a completed frame must await its pivot")
-                        };
-                        let (plo, phi) = (parent.lo, parent.hi);
-                        parent.phase = Phase::Partition {
-                            lt: plo,
-                            i: plo,
-                            gt: phi,
-                            pivot: vals[t],
-                        };
-                    }
-                }
-            }
-        }
-        cost
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::WORK_BOUND_FACTOR;
 
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -656,134 +284,6 @@ mod tests {
         // Outside the range untouched.
         assert_eq!(&vals[..10], &base[..10]);
         assert_eq!(&vals[290..], &base[290..]);
-    }
-
-    fn run_machine(
-        vals: &mut [u64],
-        ids: &mut [u32],
-        k: usize,
-        dir: Direction,
-        budget: usize,
-    ) -> usize {
-        let mut m = PairedNthElementMachine::new(0, vals.len(), k, dir);
-        let mut guard = 0usize;
-        while m.step(vals, ids, budget) == MachineStatus::InProgress {
-            guard += 1;
-            assert!(guard < 100_000_000, "machine failed to terminate");
-        }
-        m.result_index().unwrap()
-    }
-
-    #[test]
-    fn machine_ascending_selects_kth_smallest() {
-        let mut state = 11u64;
-        for n in [1usize, 5, 24, 25, 100, 1000] {
-            let base: Vec<u64> = (0..n).map(|_| splitmix(&mut state) % 61).collect();
-            let mut sorted = base.clone();
-            sorted.sort_unstable();
-            for k in [0, n / 2, n - 1] {
-                let mut vals = base.clone();
-                let mut ids: Vec<u32> = (0..n as u32).collect();
-                let idx = run_machine(&mut vals, &mut ids, k, Direction::Ascending, 16);
-                assert_eq!(idx, k);
-                assert_eq!(vals[k], sorted[k]);
-                assert!(vals[..k].iter().all(|v| *v <= vals[k]));
-                assert!(vals[k + 1..].iter().all(|v| *v >= vals[k]));
-                assert_pairs_intact(&vals, &ids, &base);
-            }
-        }
-    }
-
-    #[test]
-    fn machine_descending_selects_kth_largest() {
-        let mut state = 42u64;
-        for n in [3usize, 50, 333] {
-            let base: Vec<u64> = (0..n).map(|_| splitmix(&mut state) % 31).collect();
-            let mut sorted = base.clone();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            for k in [0, n / 2, n - 1] {
-                let mut vals = base.clone();
-                let mut ids: Vec<u32> = (0..n as u32).collect();
-                run_machine(&mut vals, &mut ids, k, Direction::Descending, 7);
-                assert_eq!(vals[k], sorted[k]);
-                assert!(vals[..k].iter().all(|v| *v >= vals[k]));
-                assert!(vals[k + 1..].iter().all(|v| *v <= vals[k]));
-                assert_pairs_intact(&vals, &ids, &base);
-            }
-        }
-    }
-
-    #[test]
-    fn machine_stays_within_work_bound() {
-        for n in [100usize, 1000, 5000] {
-            let patterns: Vec<Vec<u64>> = vec![
-                (0..n as u64).collect(),
-                (0..n as u64).rev().collect(),
-                vec![3; n],
-                (0..n as u64).map(|x| x % 2).collect(),
-            ];
-            for base in patterns {
-                let mut vals = base.clone();
-                let mut ids: Vec<u32> = (0..n as u32).collect();
-                let mut m = PairedNthElementMachine::new(0, n, n / 2, Direction::Ascending);
-                m.run_to_completion(&mut vals, &mut ids);
-                assert!(
-                    m.total_ops() <= (WORK_BOUND_FACTOR * n + WORK_BOUND_FACTOR) as u64,
-                    "ops {} exceed bound for n={n}",
-                    m.total_ops()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn machine_budget_respected_up_to_unit_cost() {
-        let mut state = 3u64;
-        let n = 2000;
-        let mut vals: Vec<u64> = (0..n).map(|_| splitmix(&mut state)).collect();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        let mut m = PairedNthElementMachine::new(0, n, 100, Direction::Ascending);
-        while m.step(&mut vals, &mut ids, 10) == MachineStatus::InProgress {}
-        assert!(m.max_step_ops() <= 10 + SMALL as u64 + 2);
-    }
-
-    #[test]
-    fn machine_ignores_lanes_outside_range() {
-        let mut state = 5u64;
-        let n = 500;
-        let base: Vec<u64> = (0..n + 50).map(|_| splitmix(&mut state) % 1000).collect();
-        let mut vals = base.clone();
-        let mut ids: Vec<u32> = (0..(n + 50) as u32).collect();
-        let mut expect: Vec<u64> = base[25..25 + n].to_vec();
-        expect.sort_unstable();
-        let mut m = PairedNthElementMachine::new(25, 25 + n, 77, Direction::Ascending);
-        let mut tick = 0u64;
-        while m.step(&mut vals, &mut ids, 5) == MachineStatus::InProgress {
-            // Mutate both lanes outside [25, 525) between steps.
-            vals[(tick % 25) as usize] = tick;
-            ids[525 + (tick % 25) as usize] = tick as u32;
-            tick += 1;
-        }
-        assert_eq!(vals[25 + 77], expect[77]);
-    }
-
-    #[test]
-    fn finished_machine_steps_are_noops() {
-        let mut vals: Vec<u64> = (0..200).rev().collect();
-        let mut ids: Vec<u32> = (0..200).collect();
-        let mut m = PairedNthElementMachine::new(0, 200, 50, Direction::Ascending);
-        m.run_to_completion(&mut vals, &mut ids);
-        let ops = m.total_ops();
-        let snapshot = vals.clone();
-        assert_eq!(m.step(&mut vals, &mut ids, 1000), MachineStatus::Finished);
-        assert_eq!(m.total_ops(), ops);
-        assert_eq!(vals, snapshot);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty selection range")]
-    fn empty_range_panics() {
-        let _ = PairedNthElementMachine::<u64>::new(3, 3, 0, Direction::Ascending);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use qmax_select::kernels::{sample_size, PIVOT_SEED};
-use qmax_select::{Kernel, ProbeKernel, RunPred, GROUP_WIDTH};
+use qmax_select::{Kernel, ProbeKernel, GROUP_WIDTH};
 
 /// Order-preserving, NaN-free mapping from `f64` to the `u64` lane
 /// domain: `a < b` (by `total_cmp`) iff `key(a) < key(b)`.
@@ -169,28 +169,6 @@ proptest! {
         let mn = *vals.iter().min().unwrap();
         let mx = *vals.iter().max().unwrap();
         prop_assert_eq!(d.min_max(&vals), Some((mn, mx)));
-    }
-
-    /// Machine-assist prefix runs: dispatched kernel == scalar ==
-    /// naive take-while, for all three predicate classes.
-    #[test]
-    fn prefix_class_run_matches_scalar(
-        vals in lane(300),
-        pivot_ix in any::<prop::sample::Index>(),
-    ) {
-        let pivot = vals[pivot_ix.index(vals.len())];
-        let s = Kernel::<u64>::scalar();
-        let d = Kernel::<u64>::detect();
-        for pred in [RunPred::Lt, RunPred::Gt, RunPred::Eq] {
-            let hit = |x: u64| match pred {
-                RunPred::Lt => x < pivot,
-                RunPred::Gt => x > pivot,
-                RunPred::Eq => x == pivot,
-            };
-            let naive = vals.iter().take_while(|&&x| hit(x)).count();
-            prop_assert_eq!(s.prefix_class_run(&vals, pivot, pred), naive);
-            prop_assert_eq!(d.prefix_class_run(&vals, pivot, pred), naive);
-        }
     }
 
     /// The pivot sampler is deterministic under a fixed seed, identical

@@ -4,7 +4,7 @@
 
 use qmax_core::{
     AdaptiveBackend, AmortizedQMax, DeamortizedQMax, DedupQMax, Entry, HeapQMax, IndexedHeapQMax,
-    KeyedSkipListQMax, QMax, SkipListQMax, SoaAmortizedQMax, SoaDeamortizedQMax, SortedVecQMax,
+    KeyedSkipListQMax, QMax, SkipListQMax, SoaAmortizedQMax, SortedVecQMax,
 };
 use qmax_engine::{FaultSchedule, FaultyBackend, ShardedQMax};
 use qmax_traces::gen::{caida_like, random_u64_stream, univ1_like};
@@ -163,7 +163,6 @@ fn psi_reporting_backends_keep_the_retention_contract() {
             Box::new(AmortizedQMax::new(q, 0.25)),
             Box::new(DeamortizedQMax::new(q, 0.25)),
             Box::new(SoaAmortizedQMax::new(q, 0.25)),
-            Box::new(SoaDeamortizedQMax::new(q, 0.25)),
             Box::new(AdaptiveBackend::new(q, 0.25)),
             Box::new(HeapQMax::new(q)),
             Box::new(SkipListQMax::new(q)),
@@ -187,7 +186,7 @@ fn psi_reporting_backends_keep_the_retention_contract() {
         }
         // The batched engine path, where the shared bound pre-filters.
         for shards in [2usize, 4] {
-            let mut engine = ShardedQMax::new_soa(q, 0.25, shards);
+            let mut engine: ShardedQMax<u64, u64> = ShardedQMax::new(q, 0.25, shards);
             assert!(check_retention(&mut engine, stream, |e, chunk| {
                 e.insert_batch(chunk);
             }));

@@ -3,13 +3,15 @@
 //! measuring — the per-PMD independence the paper's deployment relies
 //! on, made mechanical.
 
-use qmax_core::{AmortizedQMax, DeamortizedQMax, QMax};
+use qmax_core::{AmortizedQMax, BackendSnapshot, BatchInsert, Checkpoint, DeamortizedQMax, QMax};
 use qmax_engine::fault::silence_fault_panics;
 use qmax_engine::{
     DriverConfig, DriverReport, FaultSchedule, FaultyBackend, OverloadPolicy, ShardHealth,
     ShardState, ShardedQMax, WatchdogConfig,
 };
 use qmax_traces::gen::random_u64_stream;
+use std::sync::mpsc;
+use std::thread;
 use std::time::Duration;
 
 fn sorted_vals(pairs: Vec<(u64, u64)>) -> Vec<u64> {
@@ -456,4 +458,163 @@ fn supervised_restore_after_query_keeps_merged_top_q_exact() {
         sorted_vals(reference.query()),
         "a pre-run bound survived the supervised run"
     );
+}
+
+/// A backend whose checkpoint hooks can be scripted to panic.
+struct BrokenCheckpoint<B> {
+    inner: B,
+    panic_on_snapshot: bool,
+    panic_on_restore: bool,
+}
+
+impl<B: QMax<u64, u64>> QMax<u64, u64> for BrokenCheckpoint<B> {
+    fn insert(&mut self, id: u64, val: u64) -> bool {
+        self.inner.insert(id, val)
+    }
+
+    fn query(&mut self) -> Vec<(u64, u64)> {
+        self.inner.query()
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset()
+    }
+
+    fn q(&self) -> usize {
+        self.inner.q()
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn threshold(&self) -> Option<u64> {
+        self.inner.threshold()
+    }
+
+    fn name(&self) -> &'static str {
+        "broken-checkpoint"
+    }
+}
+
+impl<B: BatchInsert<u64, u64>> BatchInsert<u64, u64> for BrokenCheckpoint<B> {
+    fn insert_batch(&mut self, items: &[(u64, u64)]) -> usize {
+        self.inner.insert_batch(items)
+    }
+}
+
+impl<B: Checkpoint<u64, u64>> Checkpoint<u64, u64> for BrokenCheckpoint<B> {
+    fn snapshot(&self) -> BackendSnapshot<u64, u64> {
+        assert!(!self.panic_on_snapshot, "fault-injected: snapshot failed");
+        self.inner.snapshot()
+    }
+
+    fn restore(&mut self, snap: &BackendSnapshot<u64, u64>) {
+        assert!(!self.panic_on_restore, "fault-injected: restore failed");
+        self.inner.restore(snap)
+    }
+}
+
+/// Runs `run` on a helper thread and waits at most 60 s for it, so a
+/// driver that never returns fails the test instead of hanging it.
+fn returns_in_time<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(run());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("run_supervised did not return")
+}
+
+/// A shard whose `snapshot` panics at its first checkpoint is
+/// quarantined like a panicking insert: the run returns, the shard is
+/// reported as failed, and every shard's items still balance.
+#[test]
+fn panicking_snapshot_quarantines_the_shard() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let failing = 1usize;
+    let report = returns_in_time(move || {
+        let mut engine: ShardedQMax<u64, u64, BrokenCheckpoint<AmortizedQMax<u64, u64>>> =
+            ShardedQMax::with_backends(q, 2, move |s| BrokenCheckpoint {
+                inner: AmortizedQMax::new(q, 0.25),
+                panic_on_snapshot: s == failing,
+                panic_on_restore: false,
+            });
+        let items = random_u64_stream(100_000, 7)
+            .enumerate()
+            .map(|(i, v)| (i as u64, v));
+        let report = engine.run_supervised(
+            items,
+            DriverConfig {
+                checkpoint_every: Some(64),
+                ..DriverConfig::default()
+            },
+        );
+        assert_eq!(engine.query().len(), q, "the healthy shard still answers");
+        report
+    });
+    assert_eq!(report.items, 100_000);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].shard, failing);
+    assert!(report.failures[0].message.contains("snapshot failed"));
+    assert_eq!(
+        report.lifecycle.final_state(failing),
+        ShardState::Quarantined
+    );
+    assert_eq!(
+        report.lifecycle.final_state(1 - failing),
+        ShardState::Healthy
+    );
+    assert_balanced(&report);
+}
+
+/// A shard that panics mid-stream and whose `restore` panics too cannot
+/// warm-recover: it is quarantined, the post-run rebuild falls back to
+/// a cold shard, and the run still returns with balanced accounting.
+#[test]
+fn panicking_restore_quarantines_the_shard() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let failing = 0usize;
+    let report = returns_in_time(move || {
+        let mut engine: ShardedQMax<
+            u64,
+            u64,
+            BrokenCheckpoint<FaultyBackend<AmortizedQMax<u64, u64>>>,
+        > = ShardedQMax::with_backends(q, 2, move |s| {
+            let schedule = if s == failing {
+                FaultSchedule::panic_at(1800)
+            } else {
+                FaultSchedule::none()
+            };
+            BrokenCheckpoint {
+                inner: FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule),
+                panic_on_snapshot: false,
+                panic_on_restore: s == failing,
+            }
+        });
+        let items = random_u64_stream(100_000, 9)
+            .enumerate()
+            .map(|(i, v)| (i as u64, v));
+        let report = engine.run_supervised(
+            items,
+            DriverConfig {
+                batch_size: 512,
+                checkpoint_every: Some(512),
+                ..DriverConfig::default()
+            },
+        );
+        assert_eq!(engine.shard_health()[failing], ShardHealth::Degraded);
+        report
+    });
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].shard, failing);
+    assert!(report.failures[0].message.contains("restore failed"));
+    assert_eq!(
+        report.lifecycle.final_state(failing),
+        ShardState::Quarantined
+    );
+    assert_eq!(report.per_shard_recovered[failing], 0);
+    assert_balanced(&report);
 }

@@ -1,24 +1,21 @@
-//! Differential property tests pinning the structure-of-arrays backends
-//! to the array-of-structs originals and to the standard library.
+//! Differential property tests pinning the structure-of-arrays backend
+//! to the array-of-structs original and to the standard library.
 //!
-//! The SoA fast path re-implements the q-MAX hot loop three times over —
-//! branchless batch admission, paired selection kernels, a paired
-//! suspendable machine — so its contract is checked the strongest way
-//! available: byte-for-byte agreement of thresholds and admission
-//! decisions with the AoS backends on every stream shape that has ever
-//! broken a selection algorithm (duplicate-heavy, all-equal, adversarial
-//! chunkings), plus agreement with `select_nth_unstable` as the
-//! independent ground truth.
+//! The SoA fast path re-implements the q-MAX hot loop twice over —
+//! branchless batch admission and paired selection kernels — so its
+//! contract is checked the strongest way available: byte-for-byte
+//! agreement of thresholds and admission decisions with the AoS backend
+//! on every stream shape that has ever broken a selection algorithm
+//! (duplicate-heavy, all-equal, adversarial chunkings), plus agreement
+//! with `select_nth_unstable` as the independent ground truth.
 //!
 //! Results are compared as sorted value multisets: ids tie-break
 //! arbitrarily between equal values in both layouts, so value sets are
 //! the invariant, not id sets.
 
 use proptest::prelude::*;
-use qmax_core::{
-    AmortizedQMax, BatchInsert, DeamortizedQMax, QMax, SoaAmortizedQMax, SoaDeamortizedQMax,
-};
-use qmax_select::{paired_nth_smallest, Direction, MachineStatus, PairedNthElementMachine};
+use qmax_core::{AmortizedQMax, BatchInsert, DeamortizedQMax, QMax, SoaAmortizedQMax};
+use qmax_select::paired_nth_smallest;
 
 fn reference_top_q(vals: &[u64], q: usize) -> Vec<u64> {
     let mut s = vals.to_vec();
@@ -56,25 +53,26 @@ proptest! {
         prop_assert_eq!(sorted_vals(aos.query()), sorted_vals(soa.query()));
     }
 
-    /// SoA de-amortized ≡ AoS de-amortized on duplicate-heavy streams —
-    /// the regime where three-way partitions and tie-breaking have the
-    /// most room to diverge — including identical machine statistics.
+    /// SoA amortized ≡ AoS amortized on duplicate-heavy streams — the
+    /// regime where three-way partitions and tie-breaking have the most
+    /// room to diverge — including identical compaction counters.
     #[test]
-    fn soa_deamortized_equals_aos_duplicate_heavy(
+    fn soa_amortized_equals_aos_duplicate_heavy(
         vals in prop::collection::vec(0u64..8, 1..3000),
         q in 1usize..48,
         gamma_pct in 3usize..250,
     ) {
         let gamma = gamma_pct as f64 / 100.0;
-        let mut aos = DeamortizedQMax::new(q, gamma);
-        let mut soa = SoaDeamortizedQMax::new(q, gamma);
+        let mut aos = AmortizedQMax::new(q, gamma);
+        let mut soa = SoaAmortizedQMax::new(q, gamma);
         for (i, &v) in vals.iter().enumerate() {
             let a = aos.insert(i as u32, v);
             let s = soa.insert(i as u32, v);
             prop_assert_eq!(a, s, "admission diverged at item {}", i);
             prop_assert_eq!(aos.threshold(), soa.threshold());
         }
-        prop_assert_eq!(aos.stats(), soa.stats());
+        prop_assert_eq!(aos.compactions(), soa.compactions());
+        prop_assert_eq!(aos.filtered(), soa.filtered());
         prop_assert_eq!(sorted_vals(aos.query()), sorted_vals(soa.query()));
         prop_assert_eq!(sorted_vals(aos.query()), reference_top_q(&vals, q));
     }
@@ -90,16 +88,13 @@ proptest! {
     ) {
         let items: Vec<(u32, u64)> = (0..n).map(|i| (i as u32, value)).collect();
         let mut aos = DeamortizedQMax::new(q, gamma);
-        let mut soa_d = SoaDeamortizedQMax::new(q, gamma);
         let mut soa_a = SoaAmortizedQMax::new(q, gamma);
         for &(id, v) in &items {
             aos.insert(id, v);
         }
-        soa_d.insert_batch(&items);
         soa_a.insert_batch(&items);
         let expect = sorted_vals(aos.query());
         prop_assert_eq!(expect.len(), n.min(q));
-        prop_assert_eq!(&expect, &sorted_vals(soa_d.query()));
         prop_assert_eq!(&expect, &sorted_vals(soa_a.query()));
     }
 
@@ -119,27 +114,17 @@ proptest! {
             .collect();
         let mut one_a = SoaAmortizedQMax::new(q, gamma);
         let mut bat_a = SoaAmortizedQMax::new(q, gamma);
-        let mut one_d = SoaDeamortizedQMax::new(q, gamma);
-        let mut bat_d = SoaDeamortizedQMax::new(q, gamma);
         let mut adm_one_a = 0usize;
-        let mut adm_one_d = 0usize;
         for &(id, v) in &items {
             adm_one_a += usize::from(one_a.insert(id, v));
-            adm_one_d += usize::from(one_d.insert(id, v));
         }
         let mut adm_bat_a = 0usize;
-        let mut adm_bat_d = 0usize;
         for c in items.chunks(chunk) {
             adm_bat_a += bat_a.insert_batch(c);
-            adm_bat_d += bat_d.insert_batch(c);
         }
         prop_assert_eq!(adm_one_a, adm_bat_a);
-        prop_assert_eq!(adm_one_d, adm_bat_d);
         prop_assert_eq!(one_a.threshold(), bat_a.threshold());
-        prop_assert_eq!(one_d.threshold(), bat_d.threshold());
-        prop_assert_eq!(one_d.stats(), bat_d.stats());
         prop_assert_eq!(sorted_vals(one_a.query()), sorted_vals(bat_a.query()));
-        prop_assert_eq!(sorted_vals(one_d.query()), sorted_vals(bat_d.query()));
     }
 
     /// The paired selection kernel agrees with `select_nth_unstable` and
@@ -164,37 +149,6 @@ proptest! {
             prop_assert!(v >= vals[k]);
         }
         // Permutation integrity: every pair is an input pair.
-        for (i, (&v, &id)) in vals.iter().zip(&ids).enumerate() {
-            prop_assert_eq!(v, base[id as usize], "pair broken at index {}", i);
-        }
-    }
-
-    /// The paired suspendable machine computes the same order statistic
-    /// as the batch kernel for any budget, keeping the lanes paired.
-    #[test]
-    fn paired_machine_matches_batch_select(
-        base in prop::collection::vec(any::<u32>(), 1..600),
-        k_seed in any::<u64>(),
-        budget in 1usize..200,
-    ) {
-        let n = base.len();
-        let k = (k_seed as usize) % n;
-        let mut batch = base.clone();
-        let mut batch_ids: Vec<u32> = (0..n as u32).collect();
-        paired_nth_smallest(&mut batch, &mut batch_ids, k);
-        let expect = batch[k];
-        let mut vals = base.clone();
-        let mut ids: Vec<u32> = (0..n as u32).collect();
-        let mut m = PairedNthElementMachine::new(0, n, k, Direction::Ascending);
-        while m.step(&mut vals, &mut ids, budget) == MachineStatus::InProgress {}
-        prop_assert_eq!(m.result_index(), Some(k));
-        prop_assert_eq!(vals[k], expect);
-        for &v in &vals[..k] {
-            prop_assert!(v <= vals[k]);
-        }
-        for &v in &vals[k + 1..] {
-            prop_assert!(v >= vals[k]);
-        }
         for (i, (&v, &id)) in vals.iter().zip(&ids).enumerate() {
             prop_assert_eq!(v, base[id as usize], "pair broken at index {}", i);
         }
