@@ -1,10 +1,8 @@
 //! Criterion microbenchmark: LRFU request cost per policy (behind
-//! Figure 9), including the structure-of-arrays log-buffer backends.
+//! Figure 9), including the q-MAX cache's batched request path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use qmax_lrfu::{
-    Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu, SoaDeamortizedLrfu, SoaQMaxLrfu,
-};
+use qmax_lrfu::{Cache, DeamortizedLrfu, HeapLrfu, QMaxLrfu, ScanLrfu};
 use qmax_traces::gen::arc_like;
 
 fn bench_lrfu(c: &mut Criterion) {
@@ -32,18 +30,9 @@ fn bench_lrfu(c: &mut Criterion) {
             cache.len()
         })
     });
-    group.bench_function("qmax_g0.25_soa", |b| {
+    group.bench_function("qmax_g0.25_batch", |b| {
         b.iter(|| {
-            let mut cache = SoaQMaxLrfu::new_soa(q, 0.25, decay);
-            for &k in &trace {
-                cache.request(k);
-            }
-            cache.len()
-        })
-    });
-    group.bench_function("qmax_g0.25_soa_batch", |b| {
-        b.iter(|| {
-            let mut cache = SoaQMaxLrfu::new_soa(q, 0.25, decay);
+            let mut cache = QMaxLrfu::new(q, 0.25, decay);
             let mut hits = 0;
             for chunk in trace.chunks(1024) {
                 hits += cache.request_batch(chunk);
@@ -54,15 +43,6 @@ fn bench_lrfu(c: &mut Criterion) {
     group.bench_function("qmax_wc_g0.25", |b| {
         b.iter(|| {
             let mut cache = DeamortizedLrfu::new(q, 0.25, decay);
-            for &k in &trace {
-                cache.request(k);
-            }
-            cache.len()
-        })
-    });
-    group.bench_function("qmax_wc_g0.25_soa", |b| {
-        b.iter(|| {
-            let mut cache = SoaDeamortizedLrfu::new_soa(q, 0.25, decay);
             for &k in &trace {
                 cache.request(k);
             }

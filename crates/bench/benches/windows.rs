@@ -46,10 +46,10 @@ fn bench_window_updates(c: &mut Criterion) {
     });
     // SoA backends take the same stream through the batched kernel —
     // the configuration the engine's shard loop uses.
-    let items: Vec<(u32, u64)> = stream
+    let items: Vec<(u64, u64)> = stream
         .iter()
         .enumerate()
-        .map(|(i, &v)| (i as u32, v))
+        .map(|(i, &v)| (i as u64, v))
         .collect();
     group.bench_function("basic_soa_batch", |b| {
         b.iter(|| {

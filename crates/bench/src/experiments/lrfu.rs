@@ -168,7 +168,7 @@ pub fn lrfu_flow_table(scale: &Scale) {
         };
         for &b in sweep {
             let mut std_cache =
-                QMaxLrfu::<u64, _, StdIndex>::new_in(q, gamma, c).with_fast_merge(true);
+                QMaxLrfu::<u64, StdIndex>::new_in(q, gamma, c).with_fast_merge(true);
             let mut flow_cache = QMaxLrfu::new(q, gamma, c).with_fast_merge(true);
             let (mut std_hits, mut flow_hits) = (0usize, 0usize);
             let start = Instant::now();
@@ -196,7 +196,7 @@ pub fn lrfu_flow_table(scale: &Scale) {
     // reorder), and the refresh feed probes through `get_mut_batch`.
     {
         let mut std_cache =
-            DeamortizedLrfu::<u64, _, StdIndex>::new_in(q, 0.25, c).with_fast_merge(true);
+            DeamortizedLrfu::<u64, StdIndex>::new_in(q, 0.25, c).with_fast_merge(true);
         let mut flow_cache = DeamortizedLrfu::new(q, 0.25, c).with_fast_merge(true);
         let start = Instant::now();
         let mut std_hits = 0usize;

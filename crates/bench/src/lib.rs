@@ -12,9 +12,7 @@
 pub mod experiments;
 pub mod scale;
 
-use qmax_core::{
-    AmortizedQMax, DeamortizedQMax, HeapQMax, QMax, SkipListQMax, SoaAmortizedQMax, SortedVecQMax,
-};
+use qmax_core::{AmortizedQMax, DeamortizedQMax, HeapQMax, QMax, SkipListQMax, SortedVecQMax};
 use std::io::Write;
 use std::time::Instant;
 
@@ -28,12 +26,6 @@ pub enum Backend {
     },
     /// De-amortized q-MAX (worst-case constant time) with slack γ.
     QMaxDeamortized {
-        /// Space-slack parameter γ.
-        gamma: f64,
-    },
-    /// Structure-of-arrays amortized q-MAX (split lanes, branchless
-    /// batch admission) with slack γ.
-    QMaxSoa {
         /// Space-slack parameter γ.
         gamma: f64,
     },
@@ -51,7 +43,6 @@ impl Backend {
         match self {
             Backend::QMax { gamma } => format!("qmax(g={gamma})"),
             Backend::QMaxDeamortized { gamma } => format!("qmax-wc(g={gamma})"),
-            Backend::QMaxSoa { gamma } => format!("qmax-soa(g={gamma})"),
             Backend::Heap => "heap".into(),
             Backend::SkipList => "skiplist".into(),
             Backend::SortedVec => "sortedvec".into(),
@@ -63,7 +54,6 @@ impl Backend {
         match *self {
             Backend::QMax { gamma } => Box::new(AmortizedQMax::new(q, gamma)),
             Backend::QMaxDeamortized { gamma } => Box::new(DeamortizedQMax::new(q, gamma)),
-            Backend::QMaxSoa { gamma } => Box::new(SoaAmortizedQMax::new(q, gamma)),
             Backend::Heap => Box::new(HeapQMax::new(q)),
             Backend::SkipList => Box::new(SkipListQMax::new(q)),
             Backend::SortedVec => Box::new(SortedVecQMax::new(q)),
@@ -148,7 +138,6 @@ mod tests {
         for b in [
             Backend::QMax { gamma: 0.5 },
             Backend::QMaxDeamortized { gamma: 0.5 },
-            Backend::QMaxSoa { gamma: 0.5 },
             Backend::Heap,
             Backend::SkipList,
             Backend::SortedVec,

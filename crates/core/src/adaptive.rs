@@ -22,11 +22,10 @@
 //! * the process-wide calibrated crossover
 //!   ([`BackendPolicy::global`]), overridable via the
 //!   `QMAX_BACKEND_POLICY` environment variable (`auto` / `force-aos`
-//!   / `force-soa`, composing with `QMAX_FORCE_SCALAR`);
-//! * the value-lane type: under `auto`, non-`u64` lanes (e.g.
-//!   [`OrderedF64`](crate::OrderedF64) decay scores) route straight to
-//!   AoS — the SIMD tiers cannot engage there, so the SoA layout's
-//!   per-chunk overhead buys nothing.
+//!   / `force-soa`, composing with `QMAX_FORCE_SCALAR`).
+//!
+//! Like [`SoaAmortizedQMax`], the backend exists for `(u64, u64)` items
+//! only; every other item type uses [`AmortizedQMax`] directly.
 //!
 //! Because the two delegates are behavioral twins (same admissions,
 //! same Ψ trajectory, same top-q value multiset; ids tie-break
@@ -39,15 +38,16 @@ use crate::amortized::AmortizedQMax;
 use crate::entry::Entry;
 use crate::soa::SoaAmortizedQMax;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::{lane_is_u64, BackendChoice, BackendPolicy, PolicyMode};
+use qmax_select::{BackendChoice, BackendPolicy};
 
 /// An interval backend that delegates to AoS or SoA per constructed
-/// block capacity and expected fill (see the module docs).
+/// block capacity and expected fill (see the module docs). Implemented
+/// for `AdaptiveBackend<u64, u64>` only.
 ///
 /// ```
 /// use qmax_core::{AdaptiveBackend, BatchInsert, QMax};
 /// let mut qm = AdaptiveBackend::new(2, 0.5);
-/// let items: Vec<(u32, u64)> = (0u64..100).map(|v| (v as u32, v)).collect();
+/// let items: Vec<(u64, u64)> = (0u64..100).map(|v| (v, v)).collect();
 /// qm.insert_batch(&items);
 /// let mut top: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
 /// top.sort();
@@ -64,7 +64,7 @@ enum Inner<I, V> {
     Soa(SoaAmortizedQMax<I, V>),
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
+impl AdaptiveBackend<u64, u64> {
     /// Creates an adaptive q-MAX for the `q` largest items with
     /// space-slack `gamma`, letting the global policy pick the layout
     /// with no fill hint (the block is assumed to fill to capacity —
@@ -110,14 +110,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
     ) -> Result<Self, crate::QMaxError> {
         crate::error::check_q_gamma(q, gamma)?;
         let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
-        let choice = if policy.mode() == PolicyMode::Auto && !lane_is_u64::<V>() {
-            // The SIMD tiers only accept u64 value lanes; on any other
-            // lane the SoA layout pays its chunk overhead for nothing.
-            BackendChoice::Aos
-        } else {
-            policy.choose(cap, expected_fill)
-        };
-        let inner = match choice {
+        let inner = match policy.choose(cap, expected_fill) {
             BackendChoice::Aos => Inner::Aos(AmortizedQMax::try_new(q, gamma)?),
             BackendChoice::Soa => Inner::Soa(SoaAmortizedQMax::try_new(q, gamma)?),
         };
@@ -166,23 +159,23 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBackend<I, V> {
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<I, V> {
+impl QMax<u64, u64> for AdaptiveBackend<u64, u64> {
     #[inline]
-    fn insert(&mut self, id: I, val: V) -> bool {
+    fn insert(&mut self, id: u64, val: u64) -> bool {
         match &mut self.inner {
             Inner::Aos(b) => b.insert(id, val),
             Inner::Soa(b) => b.insert(id, val),
         }
     }
 
-    fn query(&mut self) -> Vec<(I, V)> {
+    fn query(&mut self) -> Vec<(u64, u64)> {
         match &mut self.inner {
             Inner::Aos(b) => b.query(),
             Inner::Soa(b) => b.query(),
         }
     }
 
-    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<u64, u64>>) {
         IntervalBackend::candidates_into(self, out);
     }
 
@@ -209,7 +202,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<
     }
 
     #[inline]
-    fn threshold(&self) -> Option<V> {
+    fn threshold(&self) -> Option<u64> {
         match &self.inner {
             Inner::Aos(b) => b.threshold(),
             Inner::Soa(b) => b.threshold(),
@@ -228,9 +221,9 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for AdaptiveBackend<
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for AdaptiveBackend<I, V> {
+impl BatchInsert<u64, u64> for AdaptiveBackend<u64, u64> {
     #[inline]
-    fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
+    fn insert_batch(&mut self, items: &[(u64, u64)]) -> usize {
         match &mut self.inner {
             Inner::Aos(b) => b.insert_batch(items),
             Inner::Soa(b) => b.insert_batch(items),
@@ -238,20 +231,18 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for AdaptiveB
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
-    for AdaptiveBackend<I, V>
-{
+impl crate::checkpoint::Checkpoint<u64, u64> for AdaptiveBackend<u64, u64> {
     /// Delegates to the chosen layout; the snapshot format is layout-
     /// independent, so a snapshot taken from an AoS block restores into
     /// a SoA block of the same geometry and vice versa.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
+    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<u64, u64> {
         match &self.inner {
             Inner::Aos(b) => b.snapshot(),
             Inner::Soa(b) => b.snapshot(),
         }
     }
 
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
+    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<u64, u64>) {
         match &mut self.inner {
             Inner::Aos(b) => b.restore(snap),
             Inner::Soa(b) => b.restore(snap),
@@ -259,7 +250,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for AdaptiveBackend<I, V> {
+impl IntervalBackend<u64, u64> for AdaptiveBackend<u64, u64> {
     /// Fresh instances keep the prototype's choice: the policy decided
     /// once for this capacity/fill shape, and a window stamping blocks
     /// out of one prototype must get a homogeneous ring.
@@ -279,14 +270,14 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for Adapt
         }
     }
 
-    fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
+    fn candidates_into(&self, out: &mut Vec<Entry<u64, u64>>) {
         match &self.inner {
             Inner::Aos(b) => b.candidates_into(out),
             Inner::Soa(b) => b.candidates_into(out),
         }
     }
 
-    fn top_q_into(&self, out: &mut Vec<Entry<I, V>>) {
+    fn top_q_into(&self, out: &mut Vec<Entry<u64, u64>>) {
         match &self.inner {
             Inner::Aos(b) => b.top_q_into(out),
             Inner::Soa(b) => b.top_q_into(out),
@@ -297,8 +288,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for Adapt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OrderedF64;
-    use qmax_select::{CostModel, KernelKind};
+    use qmax_select::{CostModel, KernelKind, PolicyMode};
 
     fn policy(mode: PolicyMode, crossover: usize) -> BackendPolicy {
         BackendPolicy::new(
@@ -316,7 +306,7 @@ mod tests {
 
     #[test]
     fn forced_modes_pick_their_layout() {
-        let aos = AdaptiveBackend::<u32, u64>::try_with_policy(
+        let aos = AdaptiveBackend::<u64, u64>::try_with_policy(
             10,
             0.5,
             None,
@@ -325,7 +315,7 @@ mod tests {
         .unwrap();
         assert_eq!(aos.choice(), BackendChoice::Aos);
         assert_eq!(aos.backend_label(), "qmax-adaptive-aos");
-        let soa = AdaptiveBackend::<u32, u64>::try_with_policy(
+        let soa = AdaptiveBackend::<u64, u64>::try_with_policy(
             10,
             0.5,
             Some(1),
@@ -339,39 +329,22 @@ mod tests {
     #[test]
     fn auto_splits_on_fill_hint() {
         let p = policy(PolicyMode::Auto, 90);
-        let small = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
+        let small = AdaptiveBackend::<u64, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
         assert_eq!(small.choice(), BackendChoice::Aos);
         let large =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(5000), &p).unwrap();
+            AdaptiveBackend::<u64, u64>::try_with_policy(100, 0.25, Some(5000), &p).unwrap();
         assert_eq!(large.choice(), BackendChoice::Soa);
         // Lifetime fill within capacity (125) stays append-only AoS
         // even above the crossover.
         let append_only =
-            AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(120), &p).unwrap();
+            AdaptiveBackend::<u64, u64>::try_with_policy(100, 0.25, Some(120), &p).unwrap();
         assert_eq!(append_only.choice(), BackendChoice::Aos);
-    }
-
-    #[test]
-    fn auto_routes_non_u64_lanes_to_aos() {
-        // Even with a crossover of 0 (SoA always), a non-u64 value lane
-        // must land on AoS in auto mode — but forced SoA is honored.
-        let p = policy(PolicyMode::Auto, 0);
-        let qm = AdaptiveBackend::<u32, OrderedF64>::try_with_policy(10, 0.5, None, &p).unwrap();
-        assert_eq!(qm.choice(), BackendChoice::Aos);
-        let forced = AdaptiveBackend::<u32, OrderedF64>::try_with_policy(
-            10,
-            0.5,
-            None,
-            &policy(PolicyMode::ForceSoa, 0),
-        )
-        .unwrap();
-        assert_eq!(forced.choice(), BackendChoice::Soa);
     }
 
     #[test]
     fn fresh_preserves_choice() {
         let p = policy(PolicyMode::Auto, 90);
-        let proto = AdaptiveBackend::<u32, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
+        let proto = AdaptiveBackend::<u64, u64>::try_with_policy(100, 0.25, Some(10), &p).unwrap();
         let block = IntervalBackend::fresh(&proto);
         assert_eq!(block.choice(), proto.choice());
         assert_eq!(IntervalBackend::capacity(&block), proto.capacity());
@@ -379,8 +352,8 @@ mod tests {
 
     #[test]
     fn both_arms_match_reference() {
-        let items: Vec<(u32, u64)> = (0..5000u64)
-            .map(|i| (i as u32, i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 10_000))
+        let items: Vec<(u64, u64)> = (0..5000u64)
+            .map(|i| (i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 10_000))
             .collect();
         let mut expect: Vec<u64> = items.iter().map(|&(_, v)| v).collect();
         expect.sort_unstable_by(|a, b| b.cmp(a));
@@ -388,7 +361,7 @@ mod tests {
         expect.sort_unstable();
         for mode in [PolicyMode::ForceAos, PolicyMode::ForceSoa] {
             let mut qm =
-                AdaptiveBackend::<u32, u64>::try_with_policy(37, 0.6, None, &policy(mode, 0))
+                AdaptiveBackend::<u64, u64>::try_with_policy(37, 0.6, None, &policy(mode, 0))
                     .unwrap();
             qm.insert_batch(&items);
             let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
@@ -399,9 +372,9 @@ mod tests {
 
     #[test]
     fn global_constructor_works() {
-        let mut qm = AdaptiveBackend::<u32, u64>::new(5, 0.5);
+        let mut qm = AdaptiveBackend::<u64, u64>::new(5, 0.5);
         for v in 0u64..1000 {
-            qm.insert(v as u32, v);
+            qm.insert(v, v);
         }
         let mut got: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
         got.sort_unstable();
@@ -415,6 +388,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "q must be positive")]
     fn zero_q_panics() {
-        let _ = AdaptiveBackend::<u32, u64>::new(0, 0.5);
+        let _ = AdaptiveBackend::<u64, u64>::new(0, 0.5);
     }
 }

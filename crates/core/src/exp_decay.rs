@@ -319,7 +319,6 @@ mod tests {
     use crate::amortized::AmortizedQMax;
     use crate::deamortized::DeamortizedQMax;
     use crate::heap::HeapQMax;
-    use crate::soa::SoaAmortizedQMax;
 
     /// Brute-force reference: decayed weight of item i at time t.
     fn reference_top(vals: &[f64], c: f64, q: usize) -> Vec<usize> {
@@ -432,8 +431,8 @@ mod tests {
             .filter(|v| v.is_finite() && *v > 0.0)
             .collect();
         let q = 16;
-        let mut dirty = ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), 0.95);
-        let mut clean = ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), 0.95);
+        let mut dirty = ExpDecayQMax::new(AmortizedQMax::new(q, 0.5), 0.95);
+        let mut clean = ExpDecayQMax::new(AmortizedQMax::new(q, 0.5), 0.95);
         let dirty_items: Vec<(u32, OrderedF64)> = raw
             .iter()
             .enumerate()
@@ -570,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_insert_matches_singletons_on_soa_backend() {
+    fn batch_insert_matches_singletons() {
         let mut state = 21u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -579,7 +578,7 @@ mod tests {
         let vals: Vec<f64> = (0..2000).map(|_| next()).collect();
         let q = 16;
         let mut one = ExpDecayQMax::new(AmortizedQMax::new(q, 0.5), 0.9);
-        let mut batch = ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), 0.9);
+        let mut batch = ExpDecayQMax::new(AmortizedQMax::new(q, 0.5), 0.9);
         for (i, &v) in vals.iter().enumerate() {
             one.insert(i as u32, v);
         }

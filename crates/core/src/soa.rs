@@ -1,4 +1,4 @@
-//! Structure-of-arrays q-MAX backend for `Copy` primitive ids/values.
+//! Structure-of-arrays q-MAX backend for `(u64, u64)` items.
 //!
 //! The generic backends store `Entry<I, V>` structs in one `Vec`. For the
 //! `(u64, u64)`-shaped items every benchmark and app in this repo
@@ -13,12 +13,14 @@
 //!   data-dependent; on the skewed streams q-MAX targets, Ψ quickly
 //!   filters ~everything and the admit branch becomes rare-but-random.
 //!
-//! The backend here keeps `vals: Vec<V>` and `ids: Vec<I>` in two
-//! parallel lanes. Batch admission runs a **branchless chunked
-//! Ψ-filter**: each chunk of arrivals is streamed with an unconditional
-//! store plus a compare-derived write-cursor increment
-//! (`w += (v > Ψ) as usize`), so rejected items are simply overwritten by
-//! the next arrival and the loop has no data-dependent branch at all.
+//! The backend here keeps `vals: Vec<u64>` and `ids: Vec<u64>` in two
+//! parallel lanes — the lane type the SIMD kernels of
+//! [`qmax_select::Kernel`] compare and move. Batch admission runs a
+//! **branchless chunked Ψ-filter**: each chunk of arrivals is streamed
+//! with an unconditional store plus a compare-derived write-cursor
+//! increment (`w += (v > Ψ) as usize`), so rejected items are simply
+//! overwritten by the next arrival and the loop has no data-dependent
+//! branch at all.
 //! Compactions use the value-only selection kernel
 //! [`qmax_select::paired_nth_smallest`], which partitions the dense
 //! value lane and mirrors the permutation into the id lane.
@@ -30,10 +32,10 @@
 //! `tests/proptest_soa.rs` pin down. It is one of the two layouts
 //! [`AdaptiveBackend`](crate::AdaptiveBackend) picks between; the
 //! worst-case variant has one layout, the generic
-//! [`DeamortizedQMax`](crate::DeamortizedQMax). When ids are *not*
-//! `Copy` (boxed flow keys, strings), the AoS backends remain the
-//! right choice: there, moving an entry is a pointer
-//! move and the split-lane permutation mirroring would buy nothing.
+//! [`DeamortizedQMax`](crate::DeamortizedQMax). Every other item type
+//! (`u32` ids, [`OrderedF64`](crate::OrderedF64) scores, boxed flow
+//! keys) has the AoS layout only: the kernels would not vectorize it,
+//! and measured end to end the split lanes bought nothing there.
 
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
@@ -44,10 +46,13 @@ use qmax_select::{paired_nth_smallest, Kernel};
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
 /// batch admission path over parallel `vals`/`ids` lanes.
 ///
+/// The type parameters name the lane types; the structure is
+/// implemented for `SoaAmortizedQMax<u64, u64>` only.
+///
 /// ```
 /// use qmax_core::{BatchInsert, QMax, SoaAmortizedQMax};
 /// let mut qm = SoaAmortizedQMax::new(2, 0.5);
-/// let items: Vec<(u32, u64)> = (0u64..100).map(|v| (v as u32, v)).collect();
+/// let items: Vec<(u64, u64)> = (0u64..100).map(|v| (v, v)).collect();
 /// qm.insert_batch(&items);
 /// let mut top: Vec<u64> = qm.query().into_iter().map(|(_, v)| v).collect();
 /// top.sort();
@@ -80,7 +85,7 @@ pub struct SoaAmortizedQMax<I, V> {
     kernel: Kernel<V>,
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
+impl SoaAmortizedQMax<u64, u64> {
     /// Creates a q-MAX for the `q` largest items with space-slack
     /// parameter `gamma` (γ): `⌈q(1+γ)⌉` slots (at least `q + 1`) per
     /// lane.
@@ -140,12 +145,12 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
 
     /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
     /// path with `Kernel::scalar()` to measure the vectorization gain).
-    pub fn set_kernel(&mut self, kernel: Kernel<V>) {
+    pub fn set_kernel(&mut self, kernel: Kernel<u64>) {
         self.kernel = kernel;
     }
 
     /// The SIMD dispatch handle in use.
-    pub fn kernel(&self) -> Kernel<V> {
+    pub fn kernel(&self) -> Kernel<u64> {
         self.kernel
     }
 
@@ -161,7 +166,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
     /// SoA layout from win to ~10× collapse at small τ). The scratch
     /// lanes are not touched here at all — see [`Self::compact_sampled`].
     #[inline]
-    fn ensure_lanes(&mut self, need: usize, id: I, val: V) {
+    fn ensure_lanes(&mut self, need: usize, id: u64, val: u64) {
         debug_assert!(need <= self.cap);
         if self.vals.len() < need {
             let target = need.max((self.vals.len() * 2).min(self.cap));
@@ -190,7 +195,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
     }
 
     /// Plain exact compaction: introselect over the full live prefix.
-    fn compact_exact(&mut self) -> V {
+    fn compact_exact(&mut self) -> u64 {
         let cut = self.len - self.q;
         paired_nth_smallest(&mut self.vals[..self.len], &mut self.ids[..self.len], cut);
         let psi = self.vals[cut];
@@ -207,7 +212,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
     /// the boundary with an exact select over only the region the true
     /// cut landed in. Ψ is exactly the q-th largest, as in
     /// [`Self::compact_exact`].
-    fn compact_sampled(&mut self) -> V {
+    fn compact_sampled(&mut self) -> u64 {
         let n = self.len;
         let q = self.q;
         let (mn, mx) = self
@@ -277,9 +282,9 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> SoaAmortizedQMax<I, V> {
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax<I, V> {
+impl QMax<u64, u64> for SoaAmortizedQMax<u64, u64> {
     #[inline]
-    fn insert(&mut self, id: I, val: V) -> bool {
+    fn insert(&mut self, id: u64, val: u64) -> bool {
         if let Some(t) = self.threshold {
             if val <= t {
                 self.filtered += 1;
@@ -296,7 +301,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax
         true
     }
 
-    fn query(&mut self) -> Vec<(I, V)> {
+    fn query(&mut self) -> Vec<(u64, u64)> {
         if self.len > self.q {
             self.compact();
         }
@@ -307,7 +312,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax
             .collect()
     }
 
-    fn gather_candidates(&mut self, out: &mut Vec<Entry<I, V>>) {
+    fn gather_candidates(&mut self, out: &mut Vec<Entry<u64, u64>>) {
         self.candidates_into(out);
     }
 
@@ -327,7 +332,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax
     }
 
     #[inline]
-    fn threshold(&self) -> Option<V> {
+    fn threshold(&self) -> Option<u64> {
         self.threshold
     }
 
@@ -336,7 +341,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> QMax<I, V> for SoaAmortizedQMax
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaAmortizedQMax<I, V> {
+impl BatchInsert<u64, u64> for SoaAmortizedQMax<u64, u64> {
     /// Branchless chunked Ψ-filter: processes the batch in chunks sized
     /// to the remaining buffer room, each chunk streamed through the
     /// vectorized admit kernel ([`Kernel::admit_pairs`]) — every item is
@@ -346,7 +351,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaAmorti
     /// change at a compaction, and compactions coincide with chunk
     /// boundaries, so re-reading Ψ once per chunk is exact, not an
     /// approximation.
-    fn insert_batch(&mut self, items: &[(I, V)]) -> usize {
+    fn insert_batch(&mut self, items: &[(u64, u64)]) -> usize {
         let Some(&(id0, val0)) = items.first() else {
             return 0;
         };
@@ -382,13 +387,11 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> BatchInsert<I, V> for SoaAmorti
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I, V>
-    for SoaAmortizedQMax<I, V>
-{
+impl crate::checkpoint::Checkpoint<u64, u64> for SoaAmortizedQMax<u64, u64> {
     /// Copies the live lane prefixes into entry form, plus Ψ and the
     /// counters. The scratch lanes and the kernel handle are execution
     /// machinery, not logical state, and are not captured.
-    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<I, V> {
+    fn snapshot(&self) -> crate::checkpoint::BackendSnapshot<u64, u64> {
         crate::checkpoint::BackendSnapshot {
             entries: self.ids[..self.len]
                 .iter()
@@ -406,7 +409,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I
     /// snapshot's. Lanes are re-materialized to the restored length if
     /// the current allocation is shorter (a freshly-recycled block may
     /// have no lanes at all).
-    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<I, V>) {
+    fn restore(&mut self, snap: &crate::checkpoint::BackendSnapshot<u64, u64>) {
         let n = snap.entries.len();
         debug_assert!(n < self.cap, "snapshot larger than block capacity");
         if let Some(first) = snap.entries.first() {
@@ -427,7 +430,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> crate::checkpoint::Checkpoint<I
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for SoaAmortizedQMax<I, V> {
+impl IntervalBackend<u64, u64> for SoaAmortizedQMax<u64, u64> {
     fn fresh(&self) -> Self {
         SoaAmortizedQMax {
             q: self.q,
@@ -450,7 +453,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> IntervalBackend<I, V> for SoaAm
         self.cap
     }
 
-    fn candidates_into(&self, out: &mut Vec<Entry<I, V>>) {
+    fn candidates_into(&self, out: &mut Vec<Entry<u64, u64>>) {
         out.extend(
             self.ids[..self.len]
                 .iter()
@@ -481,7 +484,7 @@ mod tests {
         s
     }
 
-    fn sorted_vals(pairs: Vec<(u32, u64)>) -> Vec<u64> {
+    fn sorted_vals(pairs: Vec<(u64, u64)>) -> Vec<u64> {
         let mut v: Vec<u64> = pairs.into_iter().map(|(_, v)| v).collect();
         v.sort_unstable();
         v
@@ -495,7 +498,7 @@ mod tests {
                 let vals: Vec<u64> = (0..5000).map(|_| splitmix(&mut state) % 10_000).collect();
                 let mut qm = SoaAmortizedQMax::new(q, gamma);
                 for (i, &v) in vals.iter().enumerate() {
-                    qm.insert(i as u32, v);
+                    qm.insert(i as u64, v);
                 }
                 assert_eq!(
                     sorted_vals(qm.query()),
@@ -510,8 +513,8 @@ mod tests {
     fn batch_equals_singletons_amortized() {
         let mut state = 3u64;
         for chunk_size in [1usize, 7, 64, 1024] {
-            let items: Vec<(u32, u64)> = (0..6000)
-                .map(|i| (i as u32, splitmix(&mut state) % 5_000))
+            let items: Vec<(u64, u64)> = (0..6000)
+                .map(|i| (i as u64, splitmix(&mut state) % 5_000))
                 .collect();
             let mut by_one = SoaAmortizedQMax::new(37, 0.6);
             let mut by_batch = SoaAmortizedQMax::new(37, 0.6);
@@ -533,8 +536,8 @@ mod tests {
     #[test]
     fn soa_matches_aos_threshold_trajectory() {
         let mut state = 21u64;
-        let items: Vec<(u32, u64)> = (0..20_000)
-            .map(|i| (i as u32, splitmix(&mut state) % 1_000_000))
+        let items: Vec<(u64, u64)> = (0..20_000)
+            .map(|i| (i as u64, splitmix(&mut state) % 1_000_000))
             .collect();
         let mut aos = AmortizedQMax::new(64, 0.5);
         let mut soa = SoaAmortizedQMax::new(64, 0.5);
@@ -550,12 +553,12 @@ mod tests {
     fn reset_preserves_correctness() {
         let mut qm = SoaAmortizedQMax::new(5, 0.5);
         for v in 0u64..1000 {
-            qm.insert(v as u32, v);
+            qm.insert(v, v);
         }
         qm.reset();
         assert!(qm.is_empty());
         assert_eq!(qm.threshold(), None);
-        let items: Vec<(u32, u64)> = (0u64..500).map(|v| (v as u32, v)).collect();
+        let items: Vec<(u64, u64)> = (0u64..500).map(|v| (v, v)).collect();
         qm.insert_batch(&items);
         assert_eq!(sorted_vals(qm.query()), vec![495, 496, 497, 498, 499]);
 
@@ -563,13 +566,13 @@ mod tests {
         am.insert_batch(&items);
         am.reset();
         assert!(am.is_empty());
-        am.insert(7u32, 9u64);
+        am.insert(7u64, 9u64);
         assert_eq!(am.query().len(), 1);
     }
 
     #[test]
     fn all_equal_stream_keeps_q_items() {
-        let items: Vec<(u32, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
+        let items: Vec<(u64, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
         let mut am = SoaAmortizedQMax::new(7, 0.5);
         am.insert_batch(&items);
         let a = am.query();
@@ -579,7 +582,7 @@ mod tests {
 
     #[test]
     fn descending_stream_filters_branchlessly() {
-        let items: Vec<(u32, u64)> = (0u64..100_000).rev().map(|v| (v as u32, v)).collect();
+        let items: Vec<(u64, u64)> = (0u64..100_000).rev().map(|v| (v, v)).collect();
         let mut qm = SoaAmortizedQMax::new(5, 0.2);
         let mut admitted = 0usize;
         for chunk in items.chunks(512) {
@@ -598,8 +601,8 @@ mod tests {
         // Every reported (id, val) pair must be an input pair: the split
         // lanes must never come apart under compactions.
         let mut state = 9u64;
-        let items: Vec<(u32, u64)> = (0..30_000)
-            .map(|i| (i as u32, splitmix(&mut state) % 1_000_000))
+        let items: Vec<(u64, u64)> = (0..30_000)
+            .map(|i| (i as u64, splitmix(&mut state) % 1_000_000))
             .collect();
         for chunk_size in [64usize, 1000] {
             let mut am = SoaAmortizedQMax::new(50, 0.8);
@@ -624,8 +627,8 @@ mod tests {
         let mut soa = SoaAmortizedQMax::new(q, 1.0);
         assert!(soa.capacity() >= qmax_select::kernels::SAMPLED_COMPACT_MIN);
         for (i, &v) in vals.iter().enumerate() {
-            let a = aos.insert(i as u32, v);
-            let s = soa.insert(i as u32, v);
+            let a = aos.insert(i as u64, v);
+            let s = soa.insert(i as u64, v);
             assert_eq!(a, s, "admission diverged at {i}");
             assert_eq!(aos.threshold(), soa.threshold(), "Ψ diverged at {i}");
         }
@@ -637,8 +640,8 @@ mod tests {
     #[test]
     fn sampled_compaction_is_deterministic() {
         let mut state = 13u64;
-        let items: Vec<(u32, u64)> = (0..40_000)
-            .map(|i| (i as u32, splitmix(&mut state)))
+        let items: Vec<(u64, u64)> = (0..40_000)
+            .map(|i| (i as u64, splitmix(&mut state)))
             .collect();
         let mut a = SoaAmortizedQMax::new(1500, 0.5);
         let mut b = SoaAmortizedQMax::new(1500, 0.5);
@@ -660,7 +663,7 @@ mod tests {
         // so the pivot lands far below the true cut and the exact
         // select runs over nearly the whole `>` region.
         let q = 64usize;
-        let mut qm = SoaAmortizedQMax::<u32, u64>::new(q, 31.0);
+        let mut qm = SoaAmortizedQMax::<u64, u64>::new(q, 31.0);
         let cap = qm.capacity();
         assert_eq!(cap, 2048);
         let mut pos = Vec::new();
@@ -669,7 +672,7 @@ mod tests {
             .map(|i| if pos.contains(&i) { 1 } else { 1000 + i as u64 })
             .collect();
         for (i, &v) in vals.iter().enumerate() {
-            qm.insert(i as u32, v);
+            qm.insert(i as u64, v);
         }
         assert_eq!(qm.compactions(), 1);
         assert_eq!(qm.pivot_fallbacks(), 1, "bad pivot must be counted");
@@ -681,9 +684,9 @@ mod tests {
     #[test]
     fn all_equal_large_buffer_uses_minmax_fast_path() {
         let q = 600usize;
-        let mut qm = SoaAmortizedQMax::<u32, u64>::new(q, 1.0);
+        let mut qm = SoaAmortizedQMax::<u64, u64>::new(q, 1.0);
         assert!(qm.capacity() >= qmax_select::kernels::SAMPLED_COMPACT_MIN);
-        let items: Vec<(u32, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
+        let items: Vec<(u64, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
         qm.insert_batch(&items);
         let got = qm.query();
         assert_eq!(got.len(), q);
@@ -718,12 +721,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "q must be positive")]
     fn zero_q_panics() {
-        let _ = SoaAmortizedQMax::<u32, u64>::new(0, 0.5);
+        let _ = SoaAmortizedQMax::<u64, u64>::new(0, 0.5);
     }
 
     #[test]
     #[should_panic(expected = "gamma must be positive")]
     fn bad_gamma_panics() {
-        let _ = SoaAmortizedQMax::<u32, u64>::new(5, -1.0);
+        let _ = SoaAmortizedQMax::<u64, u64>::new(5, -1.0);
     }
 }

@@ -22,8 +22,8 @@ use qmax_select::nth_smallest;
 ///
 /// Like the count-based windows, the structure is generic over its
 /// per-block [`IntervalBackend`]; the default keeps the historical
-/// array-of-structs [`AmortizedQMax`] blocks, while
-/// [`AdaptiveTimeSlackQMax`] lets each block pick its layout, so
+/// array-of-structs [`AmortizedQMax`] blocks, while for `(u64, u64)`
+/// items [`AdaptiveTimeSlackQMax`] lets each block pick its layout, so
 /// [`TimeSlackQMax::insert_batch`] can run the branchless batched
 /// kernel of the structure-of-arrays backend per block.
 ///
@@ -85,7 +85,7 @@ impl<I: Clone, V: Ord + Clone> TimeSlackQMax<I, V> {
 /// block capacity alone.
 pub type AdaptiveTimeSlackQMax<I, V> = TimeSlackQMax<I, V, crate::AdaptiveBackend<I, V>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveTimeSlackQMax<I, V> {
+impl AdaptiveTimeSlackQMax<u64, u64> {
     /// Like [`TimeSlackQMax::new`], but every block delegates to the
     /// layout the global backend policy picks for its capacity.
     pub fn new_adaptive(q: usize, gamma: f64, window_ns: u64, tau: f64) -> Self {
@@ -372,9 +372,8 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             state >> 33
         };
-        let items: Vec<(u32, u64, u64)> = (0..3000u64)
-            .map(|i| (i as u32, next() % 100_000, i * 7))
-            .collect();
+        let items: Vec<(u64, u64, u64)> =
+            (0..3000u64).map(|i| (i, next() % 100_000, i * 7)).collect();
         let mut one = TimeSlackQMax::new(4, 0.5, 4_000, 0.25);
         let mut batch = TimeSlackQMax::new(4, 0.5, 4_000, 0.25);
         let mut soa = TimeSlackQMax::with_backend(4_000, 0.25, SoaAmortizedQMax::new(4, 0.5));
@@ -385,11 +384,11 @@ mod tests {
             batch.insert_batch(span);
             soa.insert_batch(span);
         }
-        let sorted = |mut v: Vec<(u32, u64)>| {
+        let sorted = |mut v: Vec<(u64, u64)>| {
             v.sort_unstable();
             v
         };
-        let vals = |v: Vec<(u32, u64)>| {
+        let vals = |v: Vec<(u64, u64)>| {
             let mut v: Vec<u64> = v.into_iter().map(|(_, x)| x).collect();
             v.sort_unstable();
             v

@@ -16,11 +16,12 @@
 //!
 //! All three are generic over the per-block interval backend via
 //! [`IntervalBackend`]: the default type parameter keeps the historical
-//! array-of-structs [`AmortizedQMax`] behavior (and works for non-`Copy`
-//! ids), while the [`AdaptiveBasicSlackQMax`] /
-//! [`AdaptiveHierSlackQMax`] / [`AdaptiveLazySlackQMax`] aliases let
-//! each block pick its layout, so the branchless batched insert path of
-//! the structure-of-arrays backend applies to windowed streams too. A
+//! array-of-structs [`AmortizedQMax`] behavior (and works for any id
+//! and value type), while for `(u64, u64)` items the
+//! [`AdaptiveBasicSlackQMax`] / [`AdaptiveHierSlackQMax`] /
+//! [`AdaptiveLazySlackQMax`] aliases let each block pick its layout, so
+//! the branchless batched insert path of the structure-of-arrays
+//! backend applies to windowed streams too. A
 //! caller that must pin a layout passes its prototype to `with_backend`
 //! (e.g. `BasicSlackQMax::with_backend(w, τ, SoaAmortizedQMax::new(q, γ))`).
 //! The [`BatchInsert`] impls split each
@@ -185,7 +186,7 @@ impl<I: Clone, V: Ord + Clone> BasicSlackQMax<I, V> {
 /// where forced SoA measurably loses).
 pub type AdaptiveBasicSlackQMax<I, V> = BasicSlackQMax<I, V, AdaptiveBackend<I, V>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveBasicSlackQMax<I, V> {
+impl AdaptiveBasicSlackQMax<u64, u64> {
     /// Like [`BasicSlackQMax::new`], but every block delegates to the
     /// layout the global backend policy picks for a lifetime fill of
     /// one block's worth of arrivals (`⌈w/⌈1/τ⌉⌉` items).
@@ -418,7 +419,7 @@ impl<I: Clone, V: Ord + Clone> HierSlackQMax<I, V> {
 /// finest layer's expected block fill.
 pub type AdaptiveHierSlackQMax<I, V> = HierSlackQMax<I, V, AdaptiveBackend<I, V>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveHierSlackQMax<I, V> {
+impl AdaptiveHierSlackQMax<u64, u64> {
     /// Like [`HierSlackQMax::new`], but every block delegates to the
     /// layout the global backend policy picks. No lifetime fill hint is
     /// passed: the coarser rings absorb merged batches from every block
@@ -685,7 +686,7 @@ impl<I: Clone, V: Ord + Clone> LazySlackQMax<I, V> {
 /// [`LazySlackQMax`] with an adaptive front buffer and blocks.
 pub type AdaptiveLazySlackQMax<I, V> = LazySlackQMax<I, V, AdaptiveBackend<I, V>>;
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> AdaptiveLazySlackQMax<I, V> {
+impl AdaptiveLazySlackQMax<u64, u64> {
     /// Like [`LazySlackQMax::new`], but the front buffer and every
     /// block delegate to the layout the global backend policy picks. No
     /// lifetime fill hint is passed: the front buffer and the coarser
@@ -1248,7 +1249,7 @@ mod tests {
         for i in 0..5000u64 {
             let v = splitmix(&mut state) % 1_000_000;
             vals.push(v);
-            sw.insert(i as u32, v);
+            sw.insert(i, v);
             if i % 41 == 0 && vals.len() >= w_eff {
                 let mut got: Vec<u64> = sw.query().into_iter().map(|(_, v)| v).collect();
                 assert_slack_window_result(&vals, &mut got, q, w_eff - s, w_eff);

@@ -1,10 +1,12 @@
 //! Properties of the kernel-accelerated SoA path as seen from the
 //! structure level: sampled-pivot compaction must stay exact, rarely
 //! fall back to full selection on realistic inputs, and produce
-//! identical results whether the kernels dispatch scalar or SIMD.
+//! identical results whether the kernels dispatch scalar or SIMD. The
+//! last property holds the array-of-structs sampled compaction to the
+//! same exactness on `OrderedF64` edge values.
 
 use proptest::prelude::*;
-use qmax_core::{BatchInsert, OrderedF64, QMax, SoaAmortizedQMax};
+use qmax_core::{AmortizedQMax, BatchInsert, OrderedF64, QMax, SoaAmortizedQMax};
 use qmax_select::Kernel;
 
 /// Heavy-tailed ("zipf-ish") value stream: many small values, few huge.
@@ -84,9 +86,9 @@ proptest! {
     }
 
     /// Non-`u64` value types (here `OrderedF64`, including signed
-    /// zeros, subnormals, and infinities) always take the scalar
-    /// kernels and still keep exact top-q semantics through sampled
-    /// compaction.
+    /// zeros, subnormals, and infinities) live in the array-of-structs
+    /// backend and keep exact top-q semantics through its sampled
+    /// compaction (cap = 2·q = 1400 ≥ `SAMPLED_COMPACT_MIN`).
     #[test]
     fn ordered_f64_edge_values_stay_exact(
         raw in prop::collection::vec(
@@ -103,7 +105,7 @@ proptest! {
         ),
     ) {
         let q = 700usize;
-        let mut qm: SoaAmortizedQMax<u32, OrderedF64> = SoaAmortizedQMax::new(q, 1.0);
+        let mut qm: AmortizedQMax<u32, OrderedF64> = AmortizedQMax::new(q, 1.0);
         for (i, &v) in raw.iter().enumerate() {
             qm.insert(i as u32, OrderedF64(v));
         }

@@ -115,12 +115,6 @@ pub struct DriverConfig {
     /// for its restart budget and backoff).
     /// [`ShardedQMax::run_threaded`] panics when this is set.
     pub watchdog: Option<WatchdogConfig>,
-    /// Pin worker thread `s` to core `s mod available_parallelism` via
-    /// [`ring::pin_current_thread`]. Off by default; a no-op on
-    /// platforms without `sched_setaffinity`. Useful only when cores ≥
-    /// threads — on an oversubscribed box pinning serializes the
-    /// pipeline.
-    pub pin_threads: bool,
 }
 
 impl Default for DriverConfig {
@@ -131,7 +125,6 @@ impl Default for DriverConfig {
             overload: OverloadPolicy::Block,
             checkpoint_every: None,
             watchdog: None,
-            pin_threads: false,
         }
     }
 }
@@ -168,8 +161,8 @@ pub struct DriverReport {
     pub elapsed: Duration,
     /// Items routed to each shard.
     pub per_shard_items: Vec<u64>,
-    /// Items each shard's backend admitted (survived both the batched
-    /// pre-filter and the backend's own threshold check).
+    /// Items each shard's backend admitted (passed the backend's own
+    /// threshold check; the driver routes every item unfiltered).
     pub per_shard_admitted: Vec<u64>,
     /// Items each shard's worker actually processed (admitted or
     /// filtered by the backend).
@@ -284,8 +277,7 @@ impl DriverReport {
 /// Drains a whole owned batch into one shard via the backend's own
 /// [`BatchInsert`] path: the worker-side half of the batched hot path.
 /// SoA backends route this through the vectorized Ψ-filter admit
-/// kernel; the default implementation degrades to the same Ψ-cached
-/// singleton loop the driver used to inline here.
+/// kernel; the default implementation is a Ψ-cached singleton loop.
 pub(crate) fn drain_batch<I, V: Ord, B: BatchInsert<I, V>>(
     shard: &mut B,
     batch: Vec<(I, V)>,
@@ -363,11 +355,7 @@ struct WorkerOutcome<B> {
 fn worker_loop<I, V: Ord, B: BatchInsert<I, V>>(
     shard: B,
     mut rx: ring::Consumer<Vec<(I, V)>>,
-    pin_core: Option<usize>,
 ) -> WorkerOutcome<B> {
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
     let mut out = WorkerOutcome {
         shard: Some(shard),
         admitted: 0,
@@ -435,17 +423,6 @@ fn dispatch_ring<I, V>(
     }
 }
 
-/// Worker core assignment under [`DriverConfig::pin_threads`].
-pub(crate) fn pin_plan(pin: bool, index: usize) -> Option<usize> {
-    if !pin {
-        return None;
-    }
-    let cores = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    Some(index % cores)
-}
-
 impl<I, V, B> ShardedQMax<I, V, B>
 where
     I: ShardKey + Send,
@@ -500,11 +477,10 @@ where
         let (per_shard_items, outcomes, high_water) = thread::scope(|scope| {
             let mut producers = Vec::with_capacity(n);
             let mut handles = Vec::with_capacity(n);
-            for (s, shard) in shards.into_iter().enumerate() {
+            for shard in shards {
                 let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
                 producers.push(tx);
-                let pin = pin_plan(config.pin_threads, s);
-                handles.push(scope.spawn(move || worker_loop(shard, rx, pin)));
+                handles.push(scope.spawn(move || worker_loop(shard, rx)));
             }
             let per_shard_items = route_batches(router, n, stream, batch_size, |s, batch| {
                 dispatch_ring(
@@ -718,27 +694,6 @@ mod tests {
                 ..DriverConfig::default()
             },
         );
-    }
-
-    #[test]
-    fn pinned_run_agrees_with_unpinned() {
-        let items: Vec<(u64, u64)> = random_u64_stream(20_000, 5)
-            .enumerate()
-            .map(|(i, v)| (i as u64, v))
-            .collect();
-        let mut pinned: ShardedQMax<u64, u64> = ShardedQMax::new(32, 0.25, 2);
-        let report = pinned.run_threaded(
-            items.iter().copied(),
-            DriverConfig {
-                pin_threads: true,
-                ..DriverConfig::default()
-            },
-        );
-        assert!(report.failures.is_empty());
-        assert_balanced(&report);
-        let mut plain: ShardedQMax<u64, u64> = ShardedQMax::new(32, 0.25, 2);
-        plain.insert_batch(&items);
-        assert_eq!(sorted_vals(&mut pinned), sorted_vals(&mut plain));
     }
 
     #[test]

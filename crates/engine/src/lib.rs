@@ -10,19 +10,22 @@
 //!   hash-partitioned over shards ([`ShardKey`]), so each shard sees a
 //!   disjoint sub-stream, exactly like RSS spreading flows over PMD
 //!   threads.
-//! * **Batched hot path** — [`ShardedQMax::insert_batch`] snapshots each
-//!   shard's admission threshold Ψ once per call and drops sub-threshold
-//!   items with a single compare, routing the survivors into per-shard
-//!   runs handed to each backend as one [`BatchInsert`] batch. Since Ψ
-//!   only rises, the snapshot is always a safe under-approximation: the
-//!   pre-filter never drops an item the shard would have admitted, and
-//!   the shard re-checks its exact Ψ internally.
+//! * **Batched hot path** — [`ShardedQMax::insert_batch`] keeps one
+//!   shared admission bound for all shards: the max of the shards' Ψ,
+//!   raised once per call and again by every merged query to the global
+//!   `q`-th value. Items at or below it are dropped with a single
+//!   compare, before they are hashed; the survivors are routed into
+//!   per-shard runs handed to each backend as one [`BatchInsert`]
+//!   batch. Each Ψ_s is at most the global `q`-th largest value, so the
+//!   bound never drops a member of the global top-`q`, and each shard
+//!   re-checks its exact Ψ internally.
 //! * **Any backend, one layout each** — [`ShardedQMax::with_backends`]
 //!   builds shards from any backend factory, e.g. the split-lane
 //!   [`qmax_core::SoaAmortizedQMax`] (branchless batch admission and
-//!   value-only selection kernels for `Copy` primitive ids/values);
-//!   [`ShardedQMax::new_windowed`] and [`ShardedQMax::new_decayed`] let
-//!   each shard's adaptive backend pick its layout.
+//!   value-only selection kernels for `(u64, u64)` items);
+//!   [`ShardedQMax::new_windowed`] lets each shard's window blocks pick
+//!   their layout; [`ShardedQMax::new_decayed`] shards score in
+//!   [`qmax_core::OrderedF64`] and use the array-of-structs layout.
 //! * **Merge on query** — each shard retains its local top-`q`; any
 //!   global top-`q` item is beaten by at most `q − 1` items globally, so
 //!   certainly by at most `q − 1` within its own shard. The union of the
@@ -33,9 +36,8 @@
 //!   one worker per shard (scoped `std` threads + lock-free SPSC
 //!   [`ring`] buffers; no external dependencies), routes a stream into
 //!   per-shard batches, and reports per-shard load, ring high-water
-//!   occupancy, and aggregate insert throughput; optional core pinning
-//!   via [`DriverConfig::pin_threads`]. One producer feeds one ring per
-//!   shard; several sources are chained into one stream.
+//!   occupancy, and aggregate insert throughput. One producer feeds one
+//!   ring per shard; several sources are chained into one stream.
 //! * **Fault tolerance** — worker panics are caught and isolated: the
 //!   failing shard is quarantined and rebuilt empty from the engine's
 //!   stored backend factory while the other workers keep running

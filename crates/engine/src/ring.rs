@@ -365,64 +365,6 @@ impl<T> Drop for Consumer<T> {
     }
 }
 
-/// Pins the calling thread to `core` (Linux `sched_setaffinity` on the
-/// current thread, issued as a raw syscall — the workspace carries no
-/// libc dependency). Returns whether pinning took effect; on
-/// unsupported platforms it is a no-op returning `false`, so
-/// `DriverConfig::pin_threads` degrades to plain scheduling.
-pub fn pin_current_thread(core: usize) -> bool {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        const MASK_WORDS: usize = 16; // 1024 CPUs
-        if core >= MASK_WORDS * 64 {
-            return false;
-        }
-        let mut mask = [0u64; MASK_WORDS];
-        mask[core / 64] |= 1u64 << (core % 64);
-        let ret: isize;
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: sched_setaffinity(2) with pid 0 (the calling thread),
-        // a correctly sized cpu_set_t buffer, and no memory written by
-        // the kernel; clobbers follow the x86_64 syscall ABI.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") 203isize => ret, // SYS_sched_setaffinity
-                in("rdi") 0usize,
-                in("rsi") MASK_WORDS * 8,
-                in("rdx") mask.as_ptr(),
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack, readonly)
-            );
-        }
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: as above, via the aarch64 svc ABI.
-        unsafe {
-            std::arch::asm!(
-                "svc 0",
-                inlateout("x0") 0usize => ret,
-                in("x1") MASK_WORDS * 8,
-                in("x2") mask.as_ptr(),
-                in("x8") 122usize, // SYS_sched_setaffinity
-                options(nostack, readonly)
-            );
-        }
-        ret == 0
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = core;
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,17 +550,5 @@ mod tests {
             drop(tx); // close wakes the parked consumer for shutdown
             assert_eq!(consumer.join().unwrap(), n);
         });
-    }
-
-    #[test]
-    fn pin_current_thread_is_safe_to_call() {
-        // On Linux pinning to core 0 should succeed; elsewhere the stub
-        // returns false. Either way it must not crash or wedge.
-        let ok = pin_current_thread(0);
-        if cfg!(target_os = "linux") {
-            assert!(ok, "sched_setaffinity(0) failed on linux");
-        }
-        // Out-of-range cores are rejected, not UB.
-        assert!(!pin_current_thread(1 << 20));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::shard_key::ShardKey;
 use qmax_core::{
-    AdaptiveBackend, AdaptiveBasicSlackQMax, BatchInsert, DeamortizedQMax, DeamortizedStats, Entry,
+    AdaptiveBasicSlackQMax, AmortizedQMax, BatchInsert, DeamortizedQMax, DeamortizedStats, Entry,
     ExpDecayQMax, OrderedF64, QMax, QMaxError,
 };
 use qmax_select::nth_smallest;
@@ -501,7 +501,7 @@ fn raise<V: Ord>(bound: &mut Option<V>, v: V) {
     }
 }
 
-impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasicSlackQMax<I, V>> {
+impl ShardedQMax<u64, u64, AdaptiveBasicSlackQMax<u64, u64>> {
     /// Creates `shards` slack-window shards: each shard tracks the
     /// top-`q` of its sub-stream over a count-based `(W/S, τ)`-slack
     /// window, so the merged query approximates the global top-`q` of
@@ -536,7 +536,7 @@ impl<I: Copy + 'static, V: Ord + Copy + 'static> ShardedQMax<I, V, AdaptiveBasic
     }
 }
 
-impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<I, OrderedF64>>> {
+impl<I: Clone> ShardedQMax<I, OrderedF64, ExpDecayQMax<AmortizedQMax<I, OrderedF64>>> {
     /// Creates `shards` exponential-decay shards: each shard ages its
     /// sub-stream with per-shard decay `c^S`, so an item `k` *global*
     /// arrivals old has decayed by ≈ `c^k` (its shard saw ≈ `k/S` of
@@ -544,12 +544,9 @@ impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<
     /// arrival, so the equivalence is in expectation over the hash
     /// partition.
     ///
-    /// The reservoir layout is chosen by the calibrated backend policy.
-    /// Decayed reservoirs score in [`OrderedF64`], a lane the SIMD
-    /// kernels cannot vectorize, so the `auto` policy resolves these
-    /// shards to the array-of-structs layout;
-    /// `QMAX_BACKEND_POLICY=force-soa` still pins the split-lane layout
-    /// for comparison runs.
+    /// Each shard's reservoir is an array-of-structs [`AmortizedQMax`]:
+    /// decayed scores are [`OrderedF64`], which has no split-lane
+    /// layout.
     ///
     /// Decayed shards report no admission threshold (an arriving item's
     /// stored score depends on its arrival time), disabling the
@@ -565,7 +562,7 @@ impl<I: Copy + 'static> ShardedQMax<I, OrderedF64, ExpDecayQMax<AdaptiveBackend<
         assert!(c > 0.0 && c <= 1.0, "decay parameter must be in (0, 1]");
         let c_shard = c.powf(shards as f64).max(f64::MIN_POSITIVE);
         Self::with_backends(q, shards, move |_| {
-            ExpDecayQMax::new(AdaptiveBackend::new(q, gamma), c_shard)
+            ExpDecayQMax::new(AmortizedQMax::new(q, gamma), c_shard)
         })
     }
 }
@@ -977,37 +974,6 @@ mod tests {
         assert_eq!(labels.len(), 4);
         for l in labels {
             assert!(l.starts_with("qmax-adaptive"), "unexpected label {l}");
-        }
-    }
-
-    #[test]
-    fn adaptive_decayed_shards_match_soa_decayed_shards() {
-        use qmax_core::OrderedF64;
-        let q = 8;
-        let items: Vec<(u64, OrderedF64)> = (0..20_000u64)
-            .map(|i| (i, OrderedF64(1.0 + (hash::mix64(i) % 1_000) as f64)))
-            .collect();
-        let mut ada = ShardedQMax::new_decayed(q, 0.5, 4, 0.999);
-        let c_shard = 0.999f64.powf(4.0);
-        let mut soa = ShardedQMax::with_backends(q, 4, move |_| {
-            ExpDecayQMax::new(SoaAmortizedQMax::new(q, 0.5), c_shard)
-        });
-        for chunk in items.chunks(512) {
-            ada.insert_batch(chunk);
-            soa.insert_batch(chunk);
-        }
-        let ids = |v: Vec<(u64, OrderedF64)>| {
-            let mut ids: Vec<u64> = v.into_iter().map(|(id, _)| id).collect();
-            ids.sort_unstable();
-            ids
-        };
-        assert_eq!(ids(ada.query()), ids(soa.query()));
-        // The score lane is OrderedF64, which SIMD cannot vectorize, so
-        // the auto policy must resolve decayed shards to AoS.
-        if std::env::var("QMAX_BACKEND_POLICY").is_err() {
-            for l in ada.shard_backend_labels() {
-                assert_eq!(l, "qmax-adaptive-aos");
-            }
         }
     }
 

@@ -72,7 +72,7 @@
 //! finite stalls.
 
 use crate::driver::{
-    drain_batch, panic_message, pin_plan, route_batches, DriverConfig, DriverReport, ShardFailure,
+    drain_batch, panic_message, route_batches, DriverConfig, DriverReport, ShardFailure,
 };
 use crate::ring;
 use crate::shard_key::ShardKey;
@@ -410,7 +410,6 @@ impl<I, V, B> SupShared<I, V, B> {
 /// One supervised worker generation: drains batches, checkpoints on
 /// cadence, and warm-restores itself in place after a caught panic
 /// while restart budget remains.
-#[allow(clippy::too_many_arguments)]
 fn supervised_worker<I, V, B>(
     sh: &SupShared<I, V, B>,
     s: usize,
@@ -419,7 +418,6 @@ fn supervised_worker<I, V, B>(
     mut rx: ring::Consumer<Vec<(I, V)>>,
     ckpt_every: Option<u64>,
     wd: WatchdogConfig,
-    pin_core: Option<usize>,
 ) where
     V: Ord,
     B: BatchInsert<I, V> + Checkpoint<I, V>,
@@ -433,9 +431,6 @@ fn supervised_worker<I, V, B>(
         }
     }
     let _exit = Exit(&sh.live_workers);
-    if let Some(core) = pin_core {
-        ring::pin_current_thread(core);
-    }
     let mut live = Some(backend);
     let mut since_ckpt = 0u64;
     while let Some(batch) = rx.recv() {
@@ -589,7 +584,6 @@ where
         let ckpt_every = config.checkpoint_every;
         let wd = config.watchdog.unwrap_or_default();
         let watchdog_on = config.watchdog.is_some();
-        let pin_threads = config.pin_threads;
         let shards = self.take_shards();
         let router = self.router();
         // Spares for stall failover are stamped out of the factory up
@@ -615,8 +609,7 @@ where
                 let (tx, rx) = ring::ring::<Vec<(I, V)>>(queue_depth);
                 *sh.slots[s].lock().unwrap() = Some(tx);
                 sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                let pin = pin_plan(config.pin_threads, s);
-                scope.spawn(move || supervised_worker(sh, s, 0, backend, rx, ckpt_every, wd, pin));
+                scope.spawn(move || supervised_worker(sh, s, 0, backend, rx, ckpt_every, wd));
             }
             if watchdog_on {
                 scope.spawn(move || {
@@ -672,20 +665,13 @@ where
                             // Stall confirmed.
                             let attempt = sh.restarts[s].fetch_add(1, Ordering::SeqCst) + 1;
                             if attempt > wd.max_restarts {
-                                sh.gens[s].fetch_add(1, Ordering::SeqCst);
-                                sh.retire_producer(s, &mut sh.slots[s].lock().unwrap());
-                                {
-                                    let slot = sh.ckpts[s].lock().unwrap();
-                                    sh.reclassify_to_checkpoint(s, &slot);
-                                }
-                                *sh.fail_msgs[s].lock().unwrap() = Some(format!(
-                                    "stalled worker exceeded restart budget ({})",
-                                    wd.max_restarts
-                                ));
-                                sh.push_event(
+                                sh.quarantine(
                                     s,
-                                    ShardState::Quarantined,
-                                    "stall restart budget exhausted",
+                                    ckpt_every.is_some(),
+                                    format!(
+                                        "stalled worker exceeded restart budget ({})",
+                                        wd.max_restarts
+                                    ),
                                 );
                                 suspect[s] = false;
                                 continue;
@@ -738,9 +724,8 @@ where
                                 *slot = Some(tx);
                             }
                             sh.live_workers.fetch_add(1, Ordering::SeqCst);
-                            let pin = pin_plan(pin_threads, s);
                             scope.spawn(move || {
-                                supervised_worker(sh, s, new_gen, spare, rx, ckpt_every, wd, pin)
+                                supervised_worker(sh, s, new_gen, spare, rx, ckpt_every, wd)
                             });
                             sh.healthy[s].store(true, Ordering::SeqCst);
                             suspect[s] = false;

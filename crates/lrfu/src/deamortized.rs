@@ -21,20 +21,13 @@
 //! comparison is strict, so every current top-`q` key scores at least
 //! Ψ (or arrived after the snapshot and is not evictable this round).
 //!
-//! The snapshot backend is an [`IntervalBackend`] (default: the
-//! array-of-structs [`AmortizedQMax`]), so the structure-of-arrays
-//! backend's batched value-lane kernels apply to the refresh feed.
-//! With the default *amortized* backend a refresh chunk may absorb one
-//! `O(q)` internal compaction — the work-unit *charge* stays bounded,
-//! the wall-clock spike does not; hosting the snapshot in
-//! [`qmax_core::DeamortizedQMax`] (or its SoA twin) restores a strict
-//! worst-case bound at the cost of `2g` extra snapshot slots.
+//! The snapshot backend is an array-of-structs [`AmortizedQMax`]: a
+//! refresh chunk may absorb one `O(q)` internal compaction — the
+//! work-unit *charge* stays bounded, the wall-clock spike does not.
 
 use crate::score::DecayScore;
 use crate::Cache;
-use qmax_core::{
-    AmortizedQMax, FlowIndex, IndexFamily, IntervalBackend, KeyIndex, OrderedF64, SoaAmortizedQMax,
-};
+use qmax_core::{AmortizedQMax, BatchInsert, FlowIndex, IndexFamily, KeyIndex, OrderedF64, QMax};
 use std::hash::Hash;
 
 #[derive(Debug, Clone, Copy)]
@@ -81,11 +74,7 @@ pub struct DeamortizedLrfuStats {
 /// [`qmax_core::StdIndex`] restores the `std::collections::HashMap`
 /// index as baseline and replay oracle.
 #[derive(Debug)]
-pub struct DeamortizedLrfu<
-    K: Clone + Hash + Eq,
-    B = AmortizedQMax<u64, OrderedF64>,
-    F: IndexFamily = FlowIndex,
-> {
+pub struct DeamortizedLrfu<K: Clone + Hash + Eq, F: IndexFamily = FlowIndex> {
     q: usize,
     /// Pipeline granularity `⌈qγ/2⌉`.
     g: usize,
@@ -94,7 +83,7 @@ pub struct DeamortizedLrfu<
     keys: Vec<K>,
     /// Snapshot backend: refreshed from the registry each round; its
     /// threshold Ψ after a full refresh is the eviction cutoff.
-    snap: B,
+    snap: AmortizedQMax<u64, OrderedF64>,
     /// Number of registry slots covered by the current snapshot.
     snap_len: usize,
     /// Refresh round counter (stamps [`Info::snap_round`]).
@@ -106,11 +95,7 @@ pub struct DeamortizedLrfu<
     stats: DeamortizedLrfuStats,
 }
 
-/// [`DeamortizedLrfu`] with a structure-of-arrays snapshot backend.
-pub type SoaDeamortizedLrfu<K, F = FlowIndex> =
-    DeamortizedLrfu<K, SoaAmortizedQMax<u64, OrderedF64>, F>;
-
-impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, FlowIndex> {
+impl<K: Clone + Hash + Eq> DeamortizedLrfu<K> {
     /// Creates a de-amortized LRFU cache that never evicts the `q`
     /// highest-score keys, holds at most about `q(1+γ) + 3⌈qγ/2⌉` keys,
     /// and decays with parameter `c`.
@@ -124,7 +109,7 @@ impl<K: Clone + Hash + Eq> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, Fl
     }
 }
 
-impl<K: Clone + Hash + Eq, F: IndexFamily> DeamortizedLrfu<K, AmortizedQMax<u64, OrderedF64>, F> {
+impl<K: Clone + Hash + Eq, F: IndexFamily> DeamortizedLrfu<K, F> {
     /// Like [`DeamortizedLrfu::new`], but with an explicit
     /// [`IndexFamily`] (e.g. `StdIndex` for the HashMap-era baseline).
     pub fn new_in(q: usize, gamma: f64, c: f64) -> Self {
@@ -133,53 +118,12 @@ impl<K: Clone + Hash + Eq, F: IndexFamily> DeamortizedLrfu<K, AmortizedQMax<u64,
             gamma > 0.0 && gamma.is_finite(),
             "gamma must be positive and finite"
         );
-        Self::with_snapshot(gamma, c, AmortizedQMax::new(q, gamma))
-    }
-}
-
-impl<K: Clone + Hash + Eq> SoaDeamortizedLrfu<K, FlowIndex> {
-    /// Like [`DeamortizedLrfu::new`], but the snapshot lives in a
-    /// structure-of-arrays backend, so the refresh feed runs the
-    /// branchless batched kernel.
-    pub fn new_soa(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_soa_in(q, gamma, c)
-    }
-}
-
-impl<K: Clone + Hash + Eq, F: IndexFamily> SoaDeamortizedLrfu<K, F> {
-    /// Like [`SoaDeamortizedLrfu::new_soa`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_soa_in(q: usize, gamma: f64, c: f64) -> Self {
-        assert!(q > 0, "q must be positive");
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
-        Self::with_snapshot(gamma, c, SoaAmortizedQMax::new(q, gamma))
-    }
-}
-
-impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
-    DeamortizedLrfu<K, B, F>
-{
-    /// Creates a de-amortized LRFU cache around the given snapshot
-    /// backend prototype; `proto.q()` is the cache target `q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma` is not positive and finite or `c` is outside
-    /// `(0, 1)`.
-    pub fn with_snapshot(gamma: f64, c: f64, proto: B) -> Self {
-        assert!(
-            gamma > 0.0 && gamma.is_finite(),
-            "gamma must be positive and finite"
-        );
-        let q = proto.q();
+        let snap = AmortizedQMax::new(q, gamma);
         let g = (((q as f64) * gamma / 2.0).ceil() as usize).max(3);
         // The pipeline must finish within g misses: refresh feeds at
         // most (population bound) slots at one unit each, eviction
         // examines the same slots at two units each, plus transitions.
-        let hi = proto.capacity() + 3 * g;
+        let hi = snap.capacity() + 3 * g;
         let total_work = 3 * hi + 4;
         let budget = total_work.div_ceil(g) + 1;
         DeamortizedLrfu {
@@ -188,7 +132,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
             score: DecayScore::new(c),
             map: F::Index::with_capacity(hi),
             keys: Vec::new(),
-            snap: proto.fresh(),
+            snap,
             snap_len: 0,
             round: 0,
             phase: Phase::Idle,
@@ -330,9 +274,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily>
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<u64, OrderedF64>, F: IndexFamily> Cache<K>
-    for DeamortizedLrfu<K, B, F>
-{
+impl<K: Clone + Hash + Eq, F: IndexFamily> Cache<K> for DeamortizedLrfu<K, F> {
     fn request(&mut self, key: K) -> bool {
         self.time += 1;
         let t = self.time;
@@ -464,22 +406,6 @@ mod tests {
             ours >= exact - 0.02,
             "de-amortized LRFU hit ratio {ours} well below exact {exact}"
         );
-    }
-
-    #[test]
-    fn soa_snapshot_behaves_equivalently() {
-        // The eviction cutoff is the snapshot backend's threshold Ψ,
-        // which both backends compute identically (same admissions,
-        // same compaction points), so AoS- and SoA-snapshot caches
-        // replay a trace with the exact same hit sequence.
-        let trace = arc_like(80_000, 8_000, 17);
-        let mut aos = DeamortizedLrfu::new(400, 0.5, 0.75);
-        let mut soa = SoaDeamortizedLrfu::new_soa(400, 0.5, 0.75);
-        for &k in &trace {
-            assert_eq!(aos.request(k), soa.request(k));
-        }
-        assert_eq!(aos.len(), soa.len());
-        assert_eq!(aos.stats().iterations, soa.stats().iterations);
     }
 
     #[test]

@@ -33,9 +33,9 @@ mod qmax_lrfu;
 mod scan_lrfu;
 mod score;
 
-pub use deamortized::{DeamortizedLrfu, DeamortizedLrfuStats, SoaDeamortizedLrfu};
+pub use deamortized::{DeamortizedLrfu, DeamortizedLrfuStats};
 pub use heap_lrfu::HeapLrfu;
-pub use qmax_lrfu::{AdaptiveQMaxLrfu, QMaxLrfu, SoaQMaxLrfu};
+pub use qmax_lrfu::QMaxLrfu;
 pub use scan_lrfu::ScanLrfu;
 pub use score::{fast_logaddexp, logaddexp, DecayScore, FAST_LOGADDEXP_ABS_ERR};
 

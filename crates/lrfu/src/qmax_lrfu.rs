@@ -4,10 +4,10 @@
 use crate::score::DecayScore;
 use crate::Cache;
 use qmax_core::{
-    AdaptiveBackend, AmortizedQMax, Entry, FlowIndex, IndexFamily, IntervalBackend, KeyIndex,
-    OrderedF64, SoaAmortizedQMax,
+    AmortizedQMax, BatchInsert, Entry, FlowIndex, IndexFamily, IntervalBackend, KeyIndex,
+    OrderedF64, QMax,
 };
-use qmax_select::{nth_smallest, Kernel};
+use qmax_select::nth_smallest;
 use std::hash::Hash;
 
 /// LRFU via exponential-decay q-MAX with duplicate merging.
@@ -27,14 +27,10 @@ use std::hash::Hash;
 /// amortized — versus `O(log q)` for the heap and `O(q)` for the scan
 /// baseline.
 ///
-/// The request log is hosted in an [`IntervalBackend`] (default: the
-/// array-of-structs [`AmortizedQMax`]); [`QMaxLrfu::new_soa`] swaps in
-/// the structure-of-arrays backend so
-/// [`request_batch`](QMaxLrfu::request_batch) appends whole spans
-/// through the backend's batch kernel. The backend is configured so it
-/// never self-compacts (its own `q` equals the log capacity), which
-/// makes the two backends bit-for-bit interchangeable: same hits, same
-/// evictions.
+/// The request log is an array-of-structs [`AmortizedQMax`] configured
+/// so it never self-compacts (its own `q` equals the log capacity);
+/// [`request_batch`](QMaxLrfu::request_batch) appends whole spans in
+/// one batch call.
 ///
 /// The cache population floats between `q` and `⌈q(1+γ)⌉` distinct
 /// keys, and — like the paper's construction — the `q` highest-score
@@ -45,20 +41,17 @@ use std::hash::Hash;
 /// `std::collections::HashMap` index, kept as the baseline and as the
 /// replay oracle for the differential tests.
 #[derive(Debug, Clone)]
-pub struct QMaxLrfu<
-    K: Clone + Hash + Eq,
-    B = AmortizedQMax<K, OrderedF64>,
-    F: IndexFamily = FlowIndex,
-> {
+pub struct QMaxLrfu<K: Clone + Hash + Eq, F: IndexFamily = FlowIndex> {
     q: usize,
     cap: usize,
     score: DecayScore,
     /// Request log: one entry per request since the last maintenance
-    /// pass. Hosted in a q-MAX backend sized to never self-compact
-    /// (maintenance runs first). Unlike earlier revisions, survivors
-    /// are **not** reinserted here — their merged scores persist in
-    /// [`Self::arena`], so each pass touches each request exactly once.
-    buf: B,
+    /// pass. Hosted in a q-MAX sized to never self-compact
+    /// (maintenance runs first). Survivors are **not** reinserted
+    /// here — their merged scores persist in the score arena
+    /// ([`Self::arena_vals`]), so each pass touches each request
+    /// exactly once.
+    buf: AmortizedQMax<K, OrderedF64>,
     /// Cached keys (the cache content). The value points at the key's
     /// score accumulator in [`Self::arena`] (or is the fresh-insert
     /// sentinel until the first maintenance pass touches the key).
@@ -97,9 +90,6 @@ pub struct QMaxLrfu<
     /// dense score column directly instead of materializing
     /// `(score, slot)` pairs (see [`Self::maintain`]).
     score_scratch: Vec<OrderedF64>,
-    /// Runtime-dispatched comparison kernel for the pivot census over
-    /// the score column ([`Kernel::count_gt_eq`]).
-    kernel: Kernel<OrderedF64>,
     time: u64,
     maintenance_passes: u64,
 }
@@ -125,11 +115,7 @@ impl Default for MergeSlot {
     }
 }
 
-/// [`QMaxLrfu`] whose request log lives in the structure-of-arrays
-/// backend (requires `Copy` keys).
-pub type SoaQMaxLrfu<K, F = FlowIndex> = QMaxLrfu<K, SoaAmortizedQMax<K, OrderedF64>, F>;
-
-impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, FlowIndex> {
+impl<K: Clone + Hash + Eq> QMaxLrfu<K> {
     /// Creates a q-MAX LRFU cache that always retains the `q`
     /// highest-score keys, holds at most `⌈q(1+γ)⌉` keys, and decays
     /// with parameter `c`.
@@ -143,89 +129,22 @@ impl<K: Clone + Hash + Eq> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, FlowIndex> 
     }
 }
 
-impl<K: Clone + Hash + Eq, F: IndexFamily> QMaxLrfu<K, AmortizedQMax<K, OrderedF64>, F> {
+impl<K: Clone + Hash + Eq, F: IndexFamily> QMaxLrfu<K, F> {
     /// Like [`QMaxLrfu::new`], but with an explicit [`IndexFamily`]
-    /// (e.g. `QMaxLrfu::<u64, _, StdIndex>::new_in(...)` for the
+    /// (e.g. `QMaxLrfu::<u64, StdIndex>::new_in(...)` for the
     /// HashMap-era baseline).
     pub fn new_in(q: usize, gamma: f64, c: f64) -> Self {
-        let cap = Self::log_capacity(q, gamma);
-        Self::with_buffer(q, c, AmortizedQMax::new(cap, gamma))
-    }
-}
-
-impl<K: Copy + Clone + Hash + Eq + 'static> SoaQMaxLrfu<K, FlowIndex> {
-    /// Like [`QMaxLrfu::new`], but the request log is a
-    /// structure-of-arrays [`SoaAmortizedQMax`]. Behaviorally identical
-    /// to the default backend — same hits and evictions on the same
-    /// trace — but batch appends run the branchless lane kernel.
-    pub fn new_soa(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_soa_in(q, gamma, c)
-    }
-}
-
-impl<K: Copy + Clone + Hash + Eq + 'static, F: IndexFamily> SoaQMaxLrfu<K, F> {
-    /// Like [`SoaQMaxLrfu::new_soa`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_soa_in(q: usize, gamma: f64, c: f64) -> Self {
-        let cap = Self::log_capacity(q, gamma);
-        Self::with_buffer(q, c, SoaAmortizedQMax::new(cap, gamma))
-    }
-}
-
-/// [`QMaxLrfu`] whose request-log layout is chosen by the calibrated
-/// backend policy. The log's value lane is [`OrderedF64`] (decayed
-/// scores), which the SIMD kernels cannot vectorize, so under the
-/// `auto` policy this resolves to the array-of-structs log — the
-/// measured-faster layout for the never-self-compacting buffer — while
-/// still honoring `QMAX_BACKEND_POLICY=force-soa` overrides.
-pub type AdaptiveQMaxLrfu<K, F = FlowIndex> = QMaxLrfu<K, AdaptiveBackend<K, OrderedF64>, F>;
-
-impl<K: Copy + Clone + Hash + Eq + 'static> AdaptiveQMaxLrfu<K, FlowIndex> {
-    /// Like [`QMaxLrfu::new`], but the request log delegates to the
-    /// layout the global backend policy picks. Behaviorally identical
-    /// to both fixed-layout constructors on any trace.
-    pub fn new_adaptive(q: usize, gamma: f64, c: f64) -> Self {
-        Self::new_adaptive_in(q, gamma, c)
-    }
-}
-
-impl<K: Copy + Clone + Hash + Eq + 'static, F: IndexFamily> AdaptiveQMaxLrfu<K, F> {
-    /// Like [`AdaptiveQMaxLrfu::new_adaptive`], but with an explicit
-    /// [`IndexFamily`].
-    pub fn new_adaptive_in(q: usize, gamma: f64, c: f64) -> Self {
-        let cap = Self::log_capacity(q, gamma);
-        Self::with_buffer(q, c, AdaptiveBackend::new(cap, gamma))
-    }
-}
-
-impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QMaxLrfu<K, B, F> {
-    fn log_capacity(q: usize, gamma: f64) -> usize {
         assert!(q > 0, "q must be positive");
         assert!(
             gamma > 0.0 && gamma.is_finite(),
             "gamma must be positive and finite"
         );
-        (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1)
-    }
-
-    /// Creates a q-MAX LRFU cache whose request log is the given
-    /// backend. The backend's `q()` becomes the log capacity
-    /// `⌈q(1+γ)⌉` and must exceed the cache target `q`; maintenance
-    /// always runs before the backend would self-compact, so its own
-    /// selection machinery stays idle and its threshold stays `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q == 0`, `proto.q() <= q`, or `c` outside `(0, 1)`.
-    pub fn with_buffer(q: usize, c: f64, proto: B) -> Self {
-        assert!(q > 0, "q must be positive");
-        let cap = proto.q();
-        assert!(cap > q, "log capacity must exceed q");
+        let cap = (((q as f64) * (1.0 + gamma)).ceil() as usize).max(q + 1);
         QMaxLrfu {
             q,
             cap,
             score: DecayScore::new(c),
-            buf: proto.fresh(),
+            buf: AmortizedQMax::new(cap, gamma),
             cached: F::Index::with_capacity(cap),
             arena_keys: Vec::new(),
             arena_vals: Vec::new(),
@@ -235,7 +154,6 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
             carried: 0,
             log_scratch: Vec::new(),
             score_scratch: Vec::new(),
-            kernel: Kernel::detect(),
             time: 0,
             maintenance_passes: 0,
         }
@@ -260,13 +178,6 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     /// Number of `O(q)` maintenance passes run so far.
     pub fn maintenance_passes(&self) -> u64 {
         self.maintenance_passes
-    }
-
-    /// The request log's [`qmax_core::QMax::backend_label`] —
-    /// observability for which layout hosts the log (the adaptive
-    /// backend reports the layout its policy chose).
-    pub fn log_backend_label(&self) -> &'static str {
-        self.buf.backend_label()
     }
 
     /// Claims a score-arena slot for a freshly-missed `key`, seeded
@@ -312,8 +223,8 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     ///
     /// Selection runs over the **dense score column alone**: a
     /// quickselect over copied scores finds the eviction pivot (the
-    /// q-th largest score), a [`Kernel::count_gt_eq`] census over the
-    /// same column splits the population into above/at/below-pivot,
+    /// q-th largest score), a census over the same column counts the
+    /// scores below the pivot,
     /// and one ascending-slot sweep evicts everything below the pivot
     /// plus the first `tie_budget` slots *at* it. No `(score, slot)`
     /// pairs are materialized — the selection shuffles 8-byte scores,
@@ -358,8 +269,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
             // eviction quota falls on pivot-equal slots, lowest slot
             // numbers first — the same choice the old (score, slot)
             // lexicographic selection made.
-            let (gt, eq) = self.kernel.count_gt_eq(&scores, pivot);
-            let below = live - gt - eq;
+            let below = scores.iter().filter(|&&w| w < pivot).count();
             let mut tie_budget = cut - below;
             for idx in 0..self.arena_vals.len() {
                 if !self.arena_live[idx] {
@@ -469,9 +379,7 @@ impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> QM
     }
 }
 
-impl<K: Clone + Hash + Eq, B: IntervalBackend<K, OrderedF64>, F: IndexFamily> Cache<K>
-    for QMaxLrfu<K, B, F>
-{
+impl<K: Clone + Hash + Eq, F: IndexFamily> Cache<K> for QMaxLrfu<K, F> {
     fn request(&mut self, key: K) -> bool {
         let (hit, (key, w)) = self.account(key);
         self.buf.insert(key, w);
@@ -619,37 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn soa_backend_replays_identically() {
-        // The log never self-compacts, so AoS and SoA backends see the
-        // exact same entries and produce the exact same hit sequence.
-        let trace = qmax_traces::gen::arc_like(60_000, 6_000, 13);
-        let mut aos = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut soa = SoaQMaxLrfu::new_soa(500, 0.5, 0.75);
-        for &k in &trace {
-            assert_eq!(aos.request(k), soa.request(k));
-        }
-        assert_eq!(aos.len(), soa.len());
-    }
-
-    #[test]
-    fn adaptive_backend_replays_identically() {
-        // Whatever layout the policy picks for the log (AoS under
-        // `auto` — the score lane is OrderedF64), hits and evictions
-        // must match the fixed-layout construction exactly.
-        let trace = qmax_traces::gen::arc_like(60_000, 6_000, 13);
-        let mut aos = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut ada = AdaptiveQMaxLrfu::new_adaptive(500, 0.5, 0.75);
-        for &k in &trace {
-            assert_eq!(aos.request(k), ada.request(k));
-        }
-        assert_eq!(aos.len(), ada.len());
-    }
-
-    #[test]
     fn request_batch_matches_singletons() {
         let trace = qmax_traces::gen::arc_like(60_000, 6_000, 29);
         let mut one = QMaxLrfu::new(500, 0.5, 0.75);
-        let mut batched = SoaQMaxLrfu::new_soa(500, 0.5, 0.75);
+        let mut batched = QMaxLrfu::new(500, 0.5, 0.75);
         let mut hits_one = 0usize;
         for &k in &trace {
             hits_one += usize::from(one.request(k));

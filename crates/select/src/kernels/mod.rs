@@ -20,15 +20,18 @@
 //!
 //! 1. the CPU reports the feature at runtime
 //!    (`is_x86_feature_detected!` / `is_aarch64_feature_detected!`),
-//! 2. the lane type is exactly `u64` (checked via [`TypeId`]; the SIMD
-//!    paths compare unsigned 64-bit lanes), and
-//! 3. `QMAX_FORCE_SCALAR` is not set in the environment (CI uses this
+//! 2. `QMAX_FORCE_SCALAR` is not set in the environment (CI uses this
 //!    to pin the portable path).
 //!
 //! Otherwise every call runs the always-correct scalar fallback in
 //! `scalar` — the *same* code the SIMD paths must match bit-for-bit
 //! on the defined output region (differential property tests in
 //! `tests/proptest_kernels.rs` pin this down).
+//!
+//! Every lane is `u64`: the ids and values of `qmax-core`'s split-lane
+//! `SoaAmortizedQMax`. [`Kernel`]'s type parameter names that lane
+//! type and has one implementation, `Kernel<u64>`, so the SIMD paths
+//! take the caller's slices as they are.
 //!
 //! # Safety
 //!
@@ -39,15 +42,12 @@
 //! * every `#[target_feature]` function is only reachable through a
 //!   [`Kernel`] whose `kind` was set after the matching runtime
 //!   feature check;
-//! * every slice reinterpretation is gated on a `TypeId` equality
-//!   proving the cast is an identity (`V == u64`);
 //! * every SIMD store stays inside the caller-provided bounds: wide
 //!   stores are only issued when `cursor + LANES <= limit`, with a
 //!   scalar tail for the remainder.
 
 #![allow(unsafe_code)]
 
-use core::any::TypeId;
 use core::marker::PhantomData;
 use std::sync::OnceLock;
 
@@ -147,59 +147,11 @@ fn force_scalar() -> bool {
     *FORCE.get_or_init(|| std::env::var_os("QMAX_FORCE_SCALAR").is_some_and(|v| v != "0"))
 }
 
-#[inline]
-fn is_u64_lane<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<u64>()
-}
-
-/// Reinterprets a `&[V]` as `&[u64]` when `V` *is* `u64`.
-#[inline]
-fn lane_u64<V: 'static>(v: &[V]) -> Option<&[u64]> {
-    if is_u64_lane::<V>() {
-        // SAFETY: TypeId equality proves V is exactly u64, so this is
-        // an identity cast (same layout, same provenance, same length).
-        Some(unsafe { core::slice::from_raw_parts(v.as_ptr() as *const u64, v.len()) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets a `&mut [V]` as `&mut [u64]` when `V` *is* `u64`.
-#[inline]
-fn lane_u64_mut<V: 'static>(v: &mut [V]) -> Option<&mut [u64]> {
-    if is_u64_lane::<V>() {
-        // SAFETY: as in `lane_u64`; the unique borrow is carried over.
-        Some(unsafe { core::slice::from_raw_parts_mut(v.as_mut_ptr() as *mut u64, v.len()) })
-    } else {
-        None
-    }
-}
-
-/// Reinterprets `&[(I, V)]` as `&[(u64, u64)]` when both are `u64`.
-#[inline]
-fn pairs_u64<I: 'static, V: 'static>(p: &[(I, V)]) -> Option<&[(u64, u64)]> {
-    if is_u64_lane::<I>() && is_u64_lane::<V>() {
-        // SAFETY: TypeId equality proves (I, V) is exactly (u64, u64).
-        Some(unsafe { core::slice::from_raw_parts(p.as_ptr() as *const (u64, u64), p.len()) })
-    } else {
-        None
-    }
-}
-
-/// Bit-copies a `V` into a `u64`; only called behind `is_u64_lane::<V>`.
-#[inline]
-fn val_u64<V: Copy + 'static>(v: V) -> u64 {
-    debug_assert!(is_u64_lane::<V>());
-    // SAFETY: guarded by the TypeId check at every call site, so V is
-    // u64 and the copy is an identity.
-    unsafe { core::mem::transmute_copy(&v) }
-}
-
 /// A per-structure dispatch handle for the vectorized kernels.
 ///
 /// Resolve once with [`Kernel::detect`] (runtime feature detection) or
 /// pin the portable path with [`Kernel::scalar`]; each method then
-/// routes to the best implementation for the lane type. All methods
+/// routes to the best implementation for the CPU. All methods
 /// produce output **identical** to the scalar reference on the defined
 /// region, so swapping kernels never changes a caller's observable
 /// behavior.
@@ -220,13 +172,13 @@ impl<V> core::fmt::Debug for Kernel<V> {
     }
 }
 
-impl<V: Ord + Copy + 'static> Kernel<V> {
-    /// Resolves the best kernel for `V` on this CPU: AVX-512F, AVX2,
-    /// or NEON (in that preference order) when the feature is present
-    /// *and* `V` is `u64`, scalar otherwise (or when the
-    /// `QMAX_FORCE_SCALAR` environment variable is set).
+impl Kernel<u64> {
+    /// Resolves the best kernel on this CPU: AVX-512F, AVX2, or NEON
+    /// (in that preference order) when the feature is present, scalar
+    /// otherwise (or when the `QMAX_FORCE_SCALAR` environment variable
+    /// is set).
     pub fn detect() -> Self {
-        let kind = if !is_u64_lane::<V>() || force_scalar() {
+        let kind = if force_scalar() {
             KernelKind::Scalar
         } else {
             detect_arch_kind()
@@ -266,107 +218,86 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
     /// arbitrary rejected-item residue, exactly like the scalar
     /// overwrite trick. No store ever touches `vals[hard_end..]`.
     ///
-    /// Caller contract (debug-asserted): `w + items.len() <= hard_end
-    /// <= min(vals.len(), ids.len())`.
-    pub fn admit_pairs<I: Copy + 'static>(
+    /// # Panics
+    ///
+    /// Panics unless `w + items.len() <= hard_end <= min(vals.len(),
+    /// ids.len())`: the SIMD stores rely on that bound.
+    pub fn admit_pairs(
         &self,
-        items: &[(I, V)],
-        threshold: Option<V>,
-        vals: &mut [V],
-        ids: &mut [I],
+        items: &[(u64, u64)],
+        threshold: Option<u64>,
+        vals: &mut [u64],
+        ids: &mut [u64],
         w: usize,
         hard_end: usize,
     ) -> usize {
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kind, KernelKind::Avx2 | KernelKind::Avx512) {
-            if let (Some(t), Some(items), Some(vals), Some(ids)) = (
-                threshold,
-                pairs_u64(items),
-                lane_u64_mut(vals),
-                lane_u64_mut(ids),
-            ) {
-                // SAFETY: the kind implies the matching runtime check
-                // passed.
-                return unsafe {
-                    if self.kind == KernelKind::Avx512 {
-                        avx512::admit_pairs_u64(items, val_u64(t), vals, ids, w, hard_end)
-                    } else {
-                        avx2::admit_pairs_u64(items, val_u64(t), vals, ids, w, hard_end)
-                    }
-                };
+        assert!(
+            w + items.len() <= hard_end && hard_end <= vals.len().min(ids.len()),
+            "admit window out of bounds: w={w} items={} hard_end={hard_end}",
+            items.len()
+        );
+        if let Some(t) = threshold {
+            match self.kind {
+                // SAFETY: `detect` sets Avx512 only after the avx512f
+                // check passed; the bound is asserted above.
+                #[cfg(target_arch = "x86_64")]
+                KernelKind::Avx512 => {
+                    return unsafe { avx512::admit_pairs_u64(items, t, vals, ids, w, hard_end) }
+                }
+                // SAFETY: as for Avx512, with the avx2 check.
+                #[cfg(target_arch = "x86_64")]
+                KernelKind::Avx2 => {
+                    return unsafe { avx2::admit_pairs_u64(items, t, vals, ids, w, hard_end) }
+                }
+                // SAFETY: as for Avx512, with the neon check.
+                #[cfg(target_arch = "aarch64")]
+                KernelKind::Neon => {
+                    return unsafe { neon::admit_pairs_u64(items, t, vals, ids, w, hard_end) }
+                }
+                _ => {}
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        if self.kind == KernelKind::Neon {
-            if let (Some(t), Some(items), Some(vals), Some(ids)) = (
-                threshold,
-                pairs_u64(items),
-                lane_u64_mut(vals),
-                lane_u64_mut(ids),
-            ) {
-                // SAFETY: kind == Neon implies the runtime check passed.
-                return unsafe { neon::admit_pairs_u64(items, val_u64(t), vals, ids, w, hard_end) };
-            }
-        }
-        scalar::admit_pairs(items, threshold, vals, ids, w, hard_end)
+        scalar::admit_pairs(items, threshold, vals, ids, w)
     }
 
     /// Kernel (b), counting pass: `(#elements > pivot, #elements ==
     /// pivot)` over the value lane.
-    pub fn count_gt_eq(&self, vals: &[V], pivot: V) -> (usize, usize) {
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kind, KernelKind::Avx2 | KernelKind::Avx512) {
-            if let Some(vals) = lane_u64(vals) {
-                // SAFETY: the kind implies the matching runtime check
-                // passed.
-                return unsafe {
-                    if self.kind == KernelKind::Avx512 {
-                        avx512::count_gt_eq_u64(vals, val_u64(pivot))
-                    } else {
-                        avx2::count_gt_eq_u64(vals, val_u64(pivot))
-                    }
-                };
-            }
+    pub fn count_gt_eq(&self, vals: &[u64], pivot: u64) -> (usize, usize) {
+        match self.kind {
+            // SAFETY: `detect` sets each SIMD kind only after its
+            // feature check passed; the sweeps read within `vals`.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => unsafe { avx512::count_gt_eq_u64(vals, pivot) },
+            // SAFETY: as for Avx512.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => unsafe { avx2::count_gt_eq_u64(vals, pivot) },
+            // SAFETY: as for Avx512.
+            #[cfg(target_arch = "aarch64")]
+            KernelKind::Neon => unsafe { neon::count_gt_eq_u64(vals, pivot) },
+            _ => scalar::count_gt_eq(vals, pivot),
         }
-        #[cfg(target_arch = "aarch64")]
-        if self.kind == KernelKind::Neon {
-            if let Some(vals) = lane_u64(vals) {
-                // SAFETY: kind == Neon implies the runtime check passed.
-                return unsafe { neon::count_gt_eq_u64(vals, val_u64(pivot)) };
-            }
-        }
-        scalar::count_gt_eq(vals, pivot)
     }
 
     /// Kernel (c), sweep pass: `(min, max)` of the value lane, `None`
     /// when empty.
-    pub fn min_max(&self, vals: &[V]) -> Option<(V, V)> {
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kind, KernelKind::Avx2 | KernelKind::Avx512) && !vals.is_empty() {
-            if let Some(lane) = lane_u64(vals) {
-                // SAFETY: the kind implies the matching runtime check
-                // passed; the lane is non-empty. The result cast back
-                // to V is the identity (V == u64) via transmute_copy.
-                let (mn, mx) = unsafe {
-                    if self.kind == KernelKind::Avx512 {
-                        avx512::min_max_u64(lane)
-                    } else {
-                        avx2::min_max_u64(lane)
-                    }
-                };
-                return Some((u64_val::<V>(mn), u64_val::<V>(mx)));
-            }
+    pub fn min_max(&self, vals: &[u64]) -> Option<(u64, u64)> {
+        if vals.is_empty() {
+            return None;
         }
-        #[cfg(target_arch = "aarch64")]
-        if self.kind == KernelKind::Neon && !vals.is_empty() {
-            if let Some(lane) = lane_u64(vals) {
-                // SAFETY: kind == Neon implies the runtime check passed;
-                // the lane is non-empty.
-                let (mn, mx) = unsafe { neon::min_max_u64(lane) };
-                return Some((u64_val::<V>(mn), u64_val::<V>(mx)));
-            }
+        match self.kind {
+            // SAFETY: `detect` sets each SIMD kind only after its
+            // feature check passed, and the lane is non-empty, which
+            // the SIMD sweeps require.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => Some(unsafe { avx512::min_max_u64(vals) }),
+            // SAFETY: as for Avx512.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => Some(unsafe { avx2::min_max_u64(vals) }),
+            // SAFETY: as for Avx512.
+            #[cfg(target_arch = "aarch64")]
+            KernelKind::Neon => Some(unsafe { neon::min_max_u64(vals) }),
+            _ => scalar::min_max(vals),
         }
-        scalar::min_max(vals)
     }
 
     /// Kernel (b): stable three-way partition of `(vals, ids)` around
@@ -381,43 +312,39 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
     ///
     /// # Panics
     ///
-    /// Panics (debug) unless all four slices have equal length.
-    pub fn partition3_desc<I: Copy + 'static>(
+    /// Panics unless all four slices have equal length: the SIMD
+    /// stores rely on it.
+    pub fn partition3_desc(
         &self,
-        vals: &[V],
-        ids: &[I],
-        pivot: V,
-        out_vals: &mut [V],
-        out_ids: &mut [I],
+        vals: &[u64],
+        ids: &[u64],
+        pivot: u64,
+        out_vals: &mut [u64],
+        out_ids: &mut [u64],
     ) -> (usize, usize) {
-        debug_assert!(
+        assert!(
             vals.len() == ids.len() && vals.len() == out_vals.len() && vals.len() == out_ids.len(),
             "partition lanes differ in length"
         );
         let (ngt, neq) = self.count_gt_eq(vals, pivot);
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.kind, KernelKind::Avx2 | KernelKind::Avx512) {
-            if let (Some(v), Some(i), Some(ov), Some(oi)) = (
-                lane_u64(vals),
-                lane_u64(ids),
-                lane_u64_mut(out_vals),
-                lane_u64_mut(out_ids),
-            ) {
-                // SAFETY: the kind implies the matching runtime check
-                // passed.
-                unsafe {
-                    if self.kind == KernelKind::Avx512 {
-                        avx512::partition3_desc_u64(v, i, val_u64(pivot), ngt, neq, ov, oi)
-                    } else {
-                        avx2::partition3_desc_u64(v, i, val_u64(pivot), ngt, neq, ov, oi)
-                    }
-                };
-                return (ngt, ngt + neq);
-            }
-        }
         // NEON: the 2-lane compress does not pay for the three-stream
-        // bookkeeping; aarch64 partitions take the scalar path.
-        scalar::partition3_desc(vals, ids, pivot, ngt, neq, out_vals, out_ids)
+        // bookkeeping, so aarch64 partitions take the scalar path.
+        match self.kind {
+            // SAFETY: `detect` sets Avx512 only after the avx512f check
+            // passed; the lanes' equal length is asserted above and
+            // `(ngt, neq)` are their exact class counts.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx512 => unsafe {
+                avx512::partition3_desc_u64(vals, ids, pivot, ngt, neq, out_vals, out_ids)
+            },
+            // SAFETY: as for Avx512, with the avx2 check.
+            #[cfg(target_arch = "x86_64")]
+            KernelKind::Avx2 => unsafe {
+                avx2::partition3_desc_u64(vals, ids, pivot, ngt, neq, out_vals, out_ids)
+            },
+            _ => scalar::partition3_desc(vals, ids, pivot, ngt, neq, out_vals, out_ids),
+        }
+        (ngt, ngt + neq)
     }
 
     /// Kernel (c): estimates the value with ascending rank `rank` in
@@ -429,7 +356,13 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
     /// # Panics
     ///
     /// Panics (debug) when `vals` is empty or `rank` is out of range.
-    pub fn sample_pivot(&self, vals: &[V], rank: usize, seed: u64, scratch: &mut Vec<V>) -> V {
+    pub fn sample_pivot(
+        &self,
+        vals: &[u64],
+        rank: usize,
+        seed: u64,
+        scratch: &mut Vec<u64>,
+    ) -> u64 {
         let n = vals.len();
         debug_assert!(rank < n, "sample rank {rank} out of range {n}");
         let m = sample_size(n);
@@ -443,16 +376,6 @@ impl<V: Ord + Copy + 'static> Kernel<V> {
         crate::nth_smallest(scratch, srank);
         scratch[srank]
     }
-}
-
-/// Bit-copies a `u64` back into `V`; only called behind `is_u64_lane`.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-#[inline]
-fn u64_val<V: Copy + 'static>(v: u64) -> V {
-    debug_assert!(is_u64_lane::<V>());
-    // SAFETY: guarded by the TypeId check at every call site, so V is
-    // u64 and the copy is an identity.
-    unsafe { core::mem::transmute_copy(&v) }
 }
 
 #[cfg(test)]
@@ -482,13 +405,6 @@ mod tests {
             ks.push(auto);
         }
         ks
-    }
-
-    #[test]
-    fn non_u64_lane_always_scalar() {
-        assert_eq!(Kernel::<u32>::detect().kind(), KernelKind::Scalar);
-        assert_eq!(Kernel::<i64>::detect().kind(), KernelKind::Scalar);
-        assert!(!Kernel::<u32>::detect().is_vectorized());
     }
 
     #[test]

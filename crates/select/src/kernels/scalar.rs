@@ -2,27 +2,20 @@
 //!
 //! These define the semantics the SIMD paths must reproduce exactly on
 //! the defined output region: same cursors, same counts, same region
-//! contents in the same order. They are also the fallback for lane
-//! types other than `u64`, for CPUs without the vector features, and
-//! under `QMAX_FORCE_SCALAR`.
+//! contents in the same order. They are also the fallback for CPUs
+//! without the vector features and under `QMAX_FORCE_SCALAR`.
 
 /// Ψ-filter batch admit: branchless store-then-conditionally-advance,
 /// identical to the hand-rolled loops previously inlined in
 /// `qmax-core`'s SoA backends.
 #[inline]
-pub(super) fn admit_pairs<I: Copy, V: Ord + Copy>(
-    items: &[(I, V)],
-    threshold: Option<V>,
-    vals: &mut [V],
-    ids: &mut [I],
+pub(super) fn admit_pairs(
+    items: &[(u64, u64)],
+    threshold: Option<u64>,
+    vals: &mut [u64],
+    ids: &mut [u64],
     mut w: usize,
-    hard_end: usize,
 ) -> usize {
-    debug_assert!(
-        w + items.len() <= hard_end && hard_end <= vals.len().min(ids.len()),
-        "admit window out of bounds: w={w} items={} hard_end={hard_end}",
-        items.len()
-    );
     match threshold {
         Some(t) => {
             for &(id, v) in items {
@@ -43,7 +36,7 @@ pub(super) fn admit_pairs<I: Copy, V: Ord + Copy>(
 }
 
 #[inline]
-pub(super) fn count_gt_eq<V: Ord + Copy>(vals: &[V], pivot: V) -> (usize, usize) {
+pub(super) fn count_gt_eq(vals: &[u64], pivot: u64) -> (usize, usize) {
     let mut gt = 0usize;
     let mut eq = 0usize;
     for &v in vals {
@@ -54,7 +47,7 @@ pub(super) fn count_gt_eq<V: Ord + Copy>(vals: &[V], pivot: V) -> (usize, usize)
 }
 
 #[inline]
-pub(super) fn min_max<V: Ord + Copy>(vals: &[V]) -> Option<(V, V)> {
+pub(super) fn min_max(vals: &[u64]) -> Option<(u64, u64)> {
     let mut it = vals.iter();
     let &first = it.next()?;
     let (mut mn, mut mx) = (first, first);
@@ -72,15 +65,15 @@ pub(super) fn min_max<V: Ord + Copy>(vals: &[V]) -> Option<(V, V)> {
 /// Stable three-way partition into descending region order; `ngt`/`neq`
 /// are the pre-computed class counts (from [`count_gt_eq`]).
 #[inline]
-pub(super) fn partition3_desc<I: Copy, V: Ord + Copy>(
-    vals: &[V],
-    ids: &[I],
-    pivot: V,
+pub(super) fn partition3_desc(
+    vals: &[u64],
+    ids: &[u64],
+    pivot: u64,
     ngt: usize,
     neq: usize,
-    out_vals: &mut [V],
-    out_ids: &mut [I],
-) -> (usize, usize) {
+    out_vals: &mut [u64],
+    out_ids: &mut [u64],
+) {
     let n = vals.len();
     let eq_end = ngt + neq;
     let (mut wg, mut we, mut wl) = (0usize, ngt, eq_end);
@@ -108,5 +101,4 @@ pub(super) fn partition3_desc<I: Copy, V: Ord + Copy>(
         wg == ngt && we == eq_end && wl == n,
         "partition counts inconsistent: wg={wg}/{ngt} we={we}/{eq_end} wl={wl}/{n}"
     );
-    (ngt, eq_end)
 }

@@ -53,7 +53,7 @@ pub use machine::{
     Direction, MachineStatus, NthElementMachine, PartitionMachine, WORK_BOUND_FACTOR,
 };
 pub use partition::{insertion_sort, median_of_five, partition3};
-pub use policy::{calibrate, lane_is_u64, BackendChoice, BackendPolicy, CostModel, PolicyMode};
+pub use policy::{calibrate, BackendChoice, BackendPolicy, CostModel, PolicyMode};
 pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest};
 pub use soa::{paired_insertion_sort, paired_nth_smallest, paired_partition3};
 pub use topk::{top_k_indices, top_k_suffix};

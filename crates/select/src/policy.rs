@@ -36,7 +36,6 @@
 //! so a wrong pick can never change a caller's observable results —
 //! the differential property suites pin this down.
 
-use core::any::TypeId;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -269,14 +268,6 @@ pub fn calibrate(kernel: Kernel<u64>) -> CostModel {
     CostModel::fit(kernel.kind(), CAL_SMALL, CAL_LARGE, aos_ns, soa_ns)
 }
 
-/// Whether `V` is exactly `u64` — the only lane type the SIMD tiers
-/// accept. Exposed so backend constructors in other crates can route
-/// non-`u64` value lanes (e.g. `OrderedF64` scores) straight to the
-/// AoS path under [`PolicyMode::Auto`] without consulting the model.
-pub fn lane_is_u64<V: 'static>() -> bool {
-    TypeId::of::<V>() == TypeId::of::<u64>()
-}
-
 /// A backend-selection policy: a [`PolicyMode`] plus the calibrated
 /// [`CostModel`] it consults in auto mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -466,13 +457,6 @@ mod tests {
         let a = BackendPolicy::global() as *const BackendPolicy;
         let b = BackendPolicy::global() as *const BackendPolicy;
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn lane_check_matches_types() {
-        assert!(lane_is_u64::<u64>());
-        assert!(!lane_is_u64::<u32>());
-        assert!(!lane_is_u64::<i64>());
     }
 
     #[test]

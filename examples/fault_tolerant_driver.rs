@@ -193,7 +193,6 @@ fn main() {
             seed,
             ..WatchdogConfig::default()
         }),
-        pin_threads: false,
     };
     let report = supervised.run_supervised(items.iter().copied(), config);
     assert_balanced(&report);

@@ -368,6 +368,76 @@ fn stall_watchdog_restarts_and_recovers_coverage() {
     assert_eq!(annotated.items.len(), q);
 }
 
+/// A shard that stalls past its restart budget with checkpointing off
+/// is lost exactly like a shard lost to a panic: what it drained before
+/// the stall stays counted as drained (conserved, but no longer
+/// represented by the cold-rebuilt shard), so coverage drops below 1.0
+/// and the failure's `items_lost` counts only what was never processed.
+#[test]
+fn stall_past_budget_without_checkpoints_loses_coverage() {
+    let _silence = silence_fault_panics();
+    let q = 64;
+    let shards = 3;
+    let stalled = 1usize;
+    let mut engine: ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> =
+        ShardedQMax::with_backends(q, shards, move |s| {
+            let schedule = if s == stalled {
+                FaultSchedule::stall_at(600, 400)
+            } else {
+                FaultSchedule::none()
+            };
+            FaultyBackend::new(AmortizedQMax::new(q, 0.25), schedule)
+        });
+    let items: Vec<(u64, u64)> = random_u64_stream(60_000, 7)
+        .enumerate()
+        .map(|(i, v)| (i as u64, v))
+        .collect();
+
+    let report = engine.run_supervised(
+        items.iter().copied(),
+        DriverConfig {
+            batch_size: 128,
+            queue_depth: 2,
+            checkpoint_every: None,
+            watchdog: Some(WatchdogConfig {
+                deadline: Duration::from_millis(80),
+                poll_interval: Duration::from_millis(10),
+                max_restarts: 0,
+                backoff_base: Duration::from_millis(5),
+                backoff_jitter: 0.5,
+                seed: 7,
+            }),
+            ..DriverConfig::default()
+        },
+    );
+
+    assert_eq!(report.failures.len(), 1);
+    let failure = &report.failures[0];
+    assert_eq!(failure.shard, stalled);
+    assert_eq!(
+        report.lifecycle.final_state(stalled),
+        ShardState::Quarantined
+    );
+    assert_balanced(&report);
+    // The batches drained before the stall are not reclassified: with
+    // no checkpoint there is nothing to roll back to.
+    assert!(
+        report.per_shard_drained[stalled] > 0,
+        "pre-stall progress must stay counted as drained"
+    );
+    assert_eq!(failure.items_lost, report.per_shard_quarantined[stalled]);
+
+    // The cold rebuild represents none of the stalled shard's drained
+    // items, so coverage is exactly the other shards' share.
+    let annotated = engine.query_with_coverage();
+    let total: u64 = report.per_shard_drained.iter().sum();
+    let expected = (total - report.per_shard_drained[stalled]) as f64 / total as f64;
+    assert!(annotated.coverage < 1.0);
+    assert_eq!(annotated.coverage, expected);
+    assert_eq!(annotated.degraded_shards, vec![stalled]);
+    assert_eq!(engine.shard_health()[stalled], ShardHealth::Degraded);
+}
+
 /// The engine's shared admission bound, derived by a query before a
 /// supervised run, must not outlive the run. Here the failing shard
 /// holds the whole global top-q (huge values) when the engine is

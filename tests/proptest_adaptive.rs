@@ -15,7 +15,10 @@
 //!
 //! Streams cover the shapes named by the paper's workloads: Zipf-skewed
 //! values, all-equal values, slack fractions τ from 0.003 to 1.0, and
-//! streams long enough to recycle window blocks mid-run.
+//! streams long enough to recycle window blocks mid-run. Items are
+//! `(u64, u64)`, the only shape with a split-lane layout, so the
+//! forced-SoA arm runs the SIMD admit and partition kernels wherever
+//! the CPU has them.
 
 use proptest::prelude::*;
 use qmax_core::{
@@ -61,7 +64,7 @@ fn value_stream(n: usize, seed: u64, all_equal: bool) -> Vec<u64> {
     (0..n).map(|_| zipf.sample() as u64).collect()
 }
 
-fn sorted_vals(pairs: Vec<(u32, u64)>) -> Vec<u64> {
+fn sorted_vals(pairs: Vec<(u64, u64)>) -> Vec<u64> {
     let mut v: Vec<u64> = pairs.into_iter().map(|(_, v)| v).collect();
     v.sort_unstable();
     v
@@ -89,15 +92,15 @@ proptest! {
             1 => Some(1),
             _ => Some(n),
         };
-        let mut backends: Vec<AdaptiveBackend<u32, u64>> = policy_suite()
+        let mut backends: Vec<AdaptiveBackend<u64, u64>> = policy_suite()
             .iter()
             .map(|p| AdaptiveBackend::try_with_policy(q, gamma, hint, p).unwrap())
             .collect();
         // Feed the first backend singleton-wise, the rest batched.
         for (i, &v) in vals.iter().enumerate() {
-            backends[0].insert(i as u32, v);
+            backends[0].insert(i as u64, v);
         }
-        let items: Vec<(u32, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
+        let items: Vec<(u64, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect();
         for b in backends.iter_mut().skip(1) {
             for span in items.chunks(chunk) {
                 b.insert_batch(span);
@@ -135,7 +138,7 @@ proptest! {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
         let block = w.div_ceil(((1.0 / tau).ceil() as usize).max(1)).max(1);
-        let mut windows: Vec<BasicSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> = policy_suite()
+        let mut windows: Vec<BasicSlackQMax<u64, u64, AdaptiveBackend<u64, u64>>> = policy_suite()
             .iter()
             .map(|p| {
                 let proto =
@@ -143,7 +146,7 @@ proptest! {
                 BasicSlackQMax::try_with_backend(w, tau, proto).unwrap()
             })
             .collect();
-        let items: Vec<(u32, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
+        let items: Vec<(u64, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect();
         // Two checkpoints: mid-stream (short streams) and end-of-stream
         // (n can exceed w several times over, so rings recycle blocks
         // in place between the checkpoints).
@@ -189,18 +192,18 @@ proptest! {
     ) {
         let tau = TAUS[tau_sel];
         let vals = value_stream(n, seed, all_equal == 1);
-        let mut windows: Vec<HierSlackQMax<u32, u64, AdaptiveBackend<u32, u64>>> = policy_suite()
+        let mut windows: Vec<HierSlackQMax<u64, u64, AdaptiveBackend<u64, u64>>> = policy_suite()
             .iter()
             .map(|p| {
                 let proto = AdaptiveBackend::try_with_policy(q, gamma, None, p).unwrap();
                 HierSlackQMax::try_with_backend(w, tau, c, proto).unwrap()
             })
             .collect();
-        let items: Vec<(u32, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
+        let items: Vec<(u64, u64)> = vals.iter().enumerate().map(|(i, &v)| (i as u64, v)).collect();
         for (k, sw) in windows.iter_mut().enumerate() {
             if k == 0 {
                 for (i, &v) in vals.iter().enumerate() {
-                    sw.insert(i as u32, v);
+                    sw.insert(i as u64, v);
                 }
             } else {
                 for span in items.chunks(chunk) {
@@ -233,12 +236,12 @@ fn calibrated_policies_are_observationally_identical() {
     ];
     let modes = [PolicyMode::Auto, PolicyMode::ForceAos, PolicyMode::ForceSoa];
     let mut zipf = ZipfSampler::new(10_000, 1.0, 0xCA11);
-    let items: Vec<(u32, u64)> = (0..50_000u32).map(|i| (i, zipf.sample() as u64)).collect();
+    let items: Vec<(u64, u64)> = (0..50_000u64).map(|i| (i, zipf.sample() as u64)).collect();
     let mut reference: Option<(Vec<u64>, Option<u64>)> = None;
     for model in &models {
         for mode in modes {
             let policy = BackendPolicy::new(mode, *model);
-            let mut b: AdaptiveBackend<u32, u64> =
+            let mut b: AdaptiveBackend<u64, u64> =
                 AdaptiveBackend::try_with_policy(500, 0.25, None, &policy).unwrap();
             for span in items.chunks(777) {
                 b.insert_batch(span);

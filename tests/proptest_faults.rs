@@ -237,7 +237,6 @@ proptest! {
             overload: OverloadPolicy::Block,
             checkpoint_every: None,
             watchdog: None,
-            ..DriverConfig::default()
         };
         let engine = || -> ShardedQMax<u64, u64, FaultyBackend<AmortizedQMax<u64, u64>>> {
             ShardedQMax::with_backends(q, shards, move |s| {

@@ -25,7 +25,7 @@ fn reference_top_q(vals: &[u64], q: usize) -> Vec<u64> {
     s
 }
 
-fn sorted_vals(pairs: Vec<(u32, u64)>) -> Vec<u64> {
+fn sorted_vals(pairs: Vec<(u64, u64)>) -> Vec<u64> {
     let mut v: Vec<u64> = pairs.into_iter().map(|(_, v)| v).collect();
     v.sort_unstable();
     v
@@ -45,8 +45,8 @@ proptest! {
         let mut aos = AmortizedQMax::new(q, gamma);
         let mut soa = SoaAmortizedQMax::new(q, gamma);
         for (i, &v) in vals.iter().enumerate() {
-            let a = aos.insert(i as u32, v);
-            let s = soa.insert(i as u32, v);
+            let a = aos.insert(i as u64, v);
+            let s = soa.insert(i as u64, v);
             prop_assert_eq!(a, s, "admission diverged at item {}", i);
             prop_assert_eq!(aos.threshold(), soa.threshold());
         }
@@ -66,8 +66,8 @@ proptest! {
         let mut aos = AmortizedQMax::new(q, gamma);
         let mut soa = SoaAmortizedQMax::new(q, gamma);
         for (i, &v) in vals.iter().enumerate() {
-            let a = aos.insert(i as u32, v);
-            let s = soa.insert(i as u32, v);
+            let a = aos.insert(i as u64, v);
+            let s = soa.insert(i as u64, v);
             prop_assert_eq!(a, s, "admission diverged at item {}", i);
             prop_assert_eq!(aos.threshold(), soa.threshold());
         }
@@ -86,7 +86,7 @@ proptest! {
         q in 1usize..32,
         gamma in 0.05f64..2.0,
     ) {
-        let items: Vec<(u32, u64)> = (0..n).map(|i| (i as u32, value)).collect();
+        let items: Vec<(u64, u64)> = (0..n).map(|i| (i as u64, value)).collect();
         let mut aos = DeamortizedQMax::new(q, gamma);
         let mut soa_a = SoaAmortizedQMax::new(q, gamma);
         for &(id, v) in &items {
@@ -107,10 +107,10 @@ proptest! {
         gamma in 0.05f64..2.0,
         chunk in 1usize..600,
     ) {
-        let items: Vec<(u32, u64)> = vals
+        let items: Vec<(u64, u64)> = vals
             .iter()
             .enumerate()
-            .map(|(i, &v)| (i as u32, v))
+            .map(|(i, &v)| (i as u64, v))
             .collect();
         let mut one_a = SoaAmortizedQMax::new(q, gamma);
         let mut bat_a = SoaAmortizedQMax::new(q, gamma);

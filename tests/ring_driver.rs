@@ -288,7 +288,6 @@ fn stall_pins_ring_high_water_at_capacity_before_failover() {
             seed: 17,
             ..WatchdogConfig::default()
         }),
-        pin_threads: false,
     };
     let report = engine.run_supervised(items.iter().copied(), config);
     assert_balanced(&report);
@@ -303,33 +302,4 @@ fn stall_pins_ring_high_water_at_capacity_before_failover() {
         report.ring_capacity
     );
     assert_eq!(engine.query().len(), q, "engine must stay queryable");
-}
-
-/// The pinning knob must not change any observable result — same
-/// accounting, same reservoir — whether or not the scheduler honours
-/// the affinity request (on a single-core host it is a near no-op).
-#[test]
-fn pinned_supervised_run_agrees_with_unpinned() {
-    let q = 256;
-    let shards = 2;
-    let items = stream(30_000, 5);
-    let run = |pin: bool| {
-        let mut engine: ShardedQMax<u64, u64, AmortizedQMax<u64, u64>> =
-            ShardedQMax::with_backends(q, shards, move |_| AmortizedQMax::new(q, 0.25));
-        let config = DriverConfig {
-            checkpoint_every: Some(2048),
-            watchdog: Some(WatchdogConfig::default()),
-            pin_threads: pin,
-            ..DriverConfig::default()
-        };
-        let report = engine.run_supervised(items.iter().copied(), config);
-        (report, sorted_vals(engine.query()))
-    };
-    let (unpinned, unpinned_vals) = run(false);
-    let (pinned, pinned_vals) = run(true);
-    assert_balanced(&unpinned);
-    assert_balanced(&pinned);
-    assert_eq!(unpinned.per_shard_items, pinned.per_shard_items);
-    assert_eq!(unpinned.per_shard_drained, pinned.per_shard_drained);
-    assert_eq!(unpinned_vals, pinned_vals);
 }
