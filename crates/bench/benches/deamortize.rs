@@ -2,7 +2,7 @@
 //! selection vs the suspendable machine, and the per-step overhead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qmax_select::{mom_nth_smallest, nth_smallest, Direction, NthElementMachine};
+use qmax_select::{nth_smallest, Direction, NthElementMachine};
 use qmax_traces::gen::random_u64_stream;
 
 fn bench_select(c: &mut Criterion) {
@@ -11,16 +11,10 @@ fn bench_select(c: &mut Criterion) {
     for n in [100_000usize, 1_000_000] {
         let data: Vec<u64> = random_u64_stream(n, 3).collect();
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("introselect", n), &n, |b, &n| {
+        group.bench_with_input(BenchmarkId::new("std_select", n), &n, |b, &n| {
             b.iter(|| {
                 let mut buf = data.clone();
                 *nth_smallest(&mut buf, n / 2)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("median_of_medians", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut buf = data.clone();
-                *mom_nth_smallest(&mut buf, n / 2)
             })
         });
         group.bench_with_input(BenchmarkId::new("machine_budget64", n), &n, |b, &n| {

@@ -1,6 +1,6 @@
 //! Criterion microbenchmark: scalar vs runtime-dispatched SIMD for each
 //! explicit kernel (Ψ-filter admit, three-way partition with id-lane
-//! permutation, min/max sweep), at three buffer sizes spanning L1 to
+//! permutation), at three buffer sizes spanning L1 to
 //! L3-resident lanes. `figures kernels` records the acceptance numbers;
 //! this bench is for interactive tuning of the intrinsics.
 
@@ -58,19 +58,5 @@ fn bench_partition(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_min_max(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels/min_max");
-    for n in SIZES {
-        let (vals, _) = lanes(n, 11);
-        group.throughput(Throughput::Elements(n as u64));
-        for (label, k) in kernel_pair() {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| k.min_max(&vals))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_admit, bench_partition, bench_min_max);
+criterion_group!(benches, bench_admit, bench_partition);
 criterion_main!(benches);

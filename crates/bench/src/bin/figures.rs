@@ -11,7 +11,8 @@
 //!   all        (everything above, in order)
 //!
 //! options:
-//!   --scale F  multiply stream lengths by F (default 1.0)
+//!   --scale F  multiply stream lengths by F, a finite number > 0
+//!              (default 1.0)
 //!   --full     use the paper's full configurations (q up to 10^7)
 //! ```
 //!
@@ -21,7 +22,18 @@
 use qmax_bench::experiments::{
     ablate, apps, ingest, kernels, lrfu, micro, ovs, sharded, soa, windows,
 };
-use qmax_bench::scale::Scale;
+use qmax_bench::scale::{parse_factor, Scale};
+
+/// Prints the usage text and exits with status 2.
+fn usage() -> ! {
+    eprintln!("usage: figures <experiment|all> [--scale F] [--full]");
+    eprintln!("  --scale F  multiply stream lengths by F, a finite number > 0");
+    eprintln!("experiments: fig4 table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11");
+    eprintln!("             fig12 fig13 fig14 fig15 fig16 fig17 sec3");
+    eprintln!("             pmd-scaling sharded-scaling soa kernels windows-backend lrfu ingest");
+    eprintln!("             ablate-deamortize ablate-select ablate-gamma ablate-window");
+    std::process::exit(2);
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,23 +42,16 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                let v = it.next().expect("--scale needs a value");
-                scale.factor = v.parse().expect("--scale needs a number");
-            }
+            "--scale" => match it.next().and_then(|v| parse_factor(v)) {
+                Some(f) => scale.factor = f,
+                None => usage(),
+            },
             "--full" => scale.full = true,
             other => experiments.push(other.to_string()),
         }
     }
     if experiments.is_empty() {
-        eprintln!("usage: figures <experiment|all> [--scale F] [--full]");
-        eprintln!("experiments: fig4 table1 fig5 fig6 fig7 fig8 fig9 table2 fig10 fig11");
-        eprintln!("             fig12 fig13 fig14 fig15 fig16 fig17 sec3");
-        eprintln!(
-            "             pmd-scaling sharded-scaling soa kernels windows-backend lrfu ingest"
-        );
-        eprintln!("             ablate-deamortize ablate-select ablate-gamma ablate-window");
-        std::process::exit(2);
+        usage();
     }
     let all = [
         "fig4",

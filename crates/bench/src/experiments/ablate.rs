@@ -4,7 +4,7 @@
 use crate::scale::Scale;
 use crate::{fmt, time_stream, Backend, Report};
 use qmax_core::{DeamortizedQMax, QMax};
-use qmax_select::{mom_nth_smallest, nth_smallest};
+use qmax_select::{nth_smallest, Direction, NthElementMachine};
 use qmax_traces::gen::random_u64_stream;
 use std::time::Instant;
 
@@ -53,11 +53,12 @@ pub fn ablate_deamortize(scale: &Scale) {
     }
 }
 
-/// Ablation: introselect vs pure median-of-medians inside the
-/// compaction, on compaction-shaped inputs (a `q(1+γ)` buffer whose
-/// top part is partially ordered from previous compactions).
+/// Ablation: the selection inside the compaction — the standard
+/// library's introselect ([`nth_smallest`]) vs the median-of-medians
+/// machine the de-amortized variant runs step by step, here run to
+/// completion — on random, sorted, reversed and few-distinct inputs.
 pub fn ablate_select(scale: &Scale) {
-    println!("# Ablation: selection algorithm (introselect vs median-of-medians)");
+    println!("# Ablation: selection algorithm (std introselect vs median-of-medians machine)");
     let mut rep = Report::new("ablate_select", &["n", "input", "algorithm", "ns_per_elem"]);
     let sizes = if scale.full {
         vec![100_000usize, 1_000_000, 10_000_000]
@@ -78,14 +79,8 @@ pub fn ablate_select(scale: &Scale) {
             ("few-distinct", &few),
         ] {
             for (aname, f) in [
-                (
-                    "introselect",
-                    nth_smallest::<u64> as fn(&mut [u64], usize) -> &u64,
-                ),
-                (
-                    "mom",
-                    mom_nth_smallest::<u64> as fn(&mut [u64], usize) -> &u64,
-                ),
+                ("std", std_select as fn(&mut [u64], usize) -> u64),
+                ("mom_machine", machine_select),
             ] {
                 let reps = 5;
                 let mut total = std::time::Duration::ZERO;
@@ -101,6 +96,15 @@ pub fn ablate_select(scale: &Scale) {
             }
         }
     }
+}
+
+fn std_select(buf: &mut [u64], k: usize) -> u64 {
+    *nth_smallest(buf, k)
+}
+
+fn machine_select(buf: &mut [u64], k: usize) -> u64 {
+    let mut m = NthElementMachine::new(0, buf.len(), k, Direction::Ascending);
+    buf[m.run_to_completion(buf)]
 }
 
 /// Ablation: per-update latency distribution — the concrete case for

@@ -3,9 +3,9 @@
 //!
 //! Two sections:
 //!
-//! * **micro** — each kernel (Ψ-filter admit, three-way partition,
-//!   min/max sweep, pivot sampling) timed over a large value lane with
-//!   the scalar reference and the runtime-dispatched implementation.
+//! * **micro** — each kernel (Ψ-filter admit, three-way partition)
+//!   timed over a large value lane with the scalar reference and the
+//!   runtime-dispatched implementation.
 //! * **e2e** — `SoaAmortizedQMax` at q = 10⁴ over a Zipf(1.0) stream,
 //!   batched inserts, with the kernel forced scalar vs auto-dispatched;
 //!   this is the acceptance gauge (≥ 1.2× at γ = 1 on AVX2 hosts) and
@@ -117,24 +117,7 @@ fn micro_rows() -> Vec<MicroRow> {
         }),
     };
 
-    let minmax = MicroRow {
-        name: "min_max",
-        scalar_mips: time_kernel(LANE, || {
-            scalar.min_max(&vals).map(|(_, mx)| mx).unwrap_or(0)
-        }),
-        simd_mips: time_kernel(LANE, || auto.min_max(&vals).map(|(_, mx)| mx).unwrap_or(0)),
-    };
-
-    let mut scratch = Vec::new();
-    let sample = MicroRow {
-        name: "sample_pivot",
-        scalar_mips: time_kernel(LANE, || {
-            scalar.sample_pivot(&vals, LANE / 2, 1, &mut scratch)
-        }),
-        simd_mips: time_kernel(LANE, || auto.sample_pivot(&vals, LANE / 2, 1, &mut scratch)),
-    };
-
-    vec![admit, admit_balanced, part, minmax, sample]
+    vec![admit, admit_balanced, part]
 }
 
 fn e2e_rows(scale: &Scale) -> (Vec<E2eRow>, usize, usize) {

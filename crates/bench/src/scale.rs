@@ -41,3 +41,31 @@ impl Scale {
         vec![0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0]
     }
 }
+
+/// Parses a `--scale` value: a finite number greater than zero. `None`
+/// for anything else (a non-number, NaN, an infinity, zero or a negative
+/// value), which the `figures` CLI rejects with its usage text.
+pub fn parse_factor(v: &str) -> Option<f64> {
+    v.parse::<f64>().ok().filter(|f| f.is_finite() && *f > 0.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_factor;
+
+    #[test]
+    fn parse_factor_accepts_positive_finite_numbers() {
+        assert_eq!(parse_factor("0.1"), Some(0.1));
+        assert_eq!(parse_factor("2"), Some(2.0));
+        assert_eq!(parse_factor("1e-3"), Some(1e-3));
+    }
+
+    #[test]
+    fn parse_factor_rejects_everything_else() {
+        for v in [
+            "", "abc", "0", "-1", "-0.0", "inf", "-inf", "infinity", "NaN", "1.0x",
+        ] {
+            assert_eq!(parse_factor(v), None, "{v:?}");
+        }
+    }
+}

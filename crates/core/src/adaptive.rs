@@ -150,11 +150,12 @@ impl AdaptiveBackend<u64, u64> {
     }
 
     /// Compactions whose sampled pivot fell outside the tolerance band
-    /// (exact either way; tracks sample quality).
+    /// (exact either way; tracks sample quality). Only the AoS layout
+    /// samples pivots; SoA compaction selects Ψ exactly and reports 0.
     pub fn pivot_fallbacks(&self) -> u64 {
         match &self.inner {
             Inner::Aos(b) => b.pivot_fallbacks(),
-            Inner::Soa(b) => b.pivot_fallbacks(),
+            Inner::Soa(_) => 0,
         }
     }
 }

@@ -42,7 +42,8 @@ pub struct BackendSnapshot<I, V> {
     pub compactions: u64,
     /// Arrivals dropped by the admission filter up to snapshot time.
     pub filtered: u64,
-    /// Sampled-pivot fallbacks up to snapshot time.
+    /// Sampled-pivot fallbacks up to snapshot time (always 0 for a
+    /// backend that samples no pivots).
     pub pivot_fallbacks: u64,
 }
 

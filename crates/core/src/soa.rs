@@ -21,9 +21,12 @@
 //! increment (`w += (v > Ψ) as usize`), so rejected items are simply
 //! overwritten by the next arrival and the loop has no data-dependent
 //! branch at all.
-//! Compactions use the value-only selection kernel
-//! [`qmax_select::paired_nth_smallest`], which partitions the dense
-//! value lane and mirrors the permutation into the id lane.
+//! A compaction copies the value lane into a scratch lane, finds the
+//! exact Ψ (the q-th largest value) there with the standard library's
+//! `select_nth_unstable` — worst-case linear — and then runs one stable
+//! vectorized three-way partition ([`Kernel::partition3_desc`]) of both
+//! lanes around Ψ into the scratch lanes. Its descending region order
+//! makes the survivors a prefix, so keeping them is a lane swap.
 //!
 //! The backend is a drop-in behavioral twin of
 //! [`AmortizedQMax`](crate::AmortizedQMax) — same admissions, same
@@ -39,8 +42,7 @@
 
 use crate::entry::Entry;
 use crate::traits::{BatchInsert, IntervalBackend, QMax};
-use qmax_select::kernels::{pivot_band, PIVOT_SEED, SAMPLED_COMPACT_MIN};
-use qmax_select::{paired_nth_smallest, Kernel};
+use qmax_select::Kernel;
 
 /// Structure-of-arrays [`AmortizedQMax`](crate::AmortizedQMax): q-MAX
 /// with amortized `O(1)` updates, `⌈q(1+γ)⌉` space, and a branchless
@@ -69,18 +71,11 @@ pub struct SoaAmortizedQMax<I, V> {
     threshold: Option<V>,
     compactions: u64,
     filtered: u64,
-    /// Output lanes for the sampled-pivot partition; swapped with the
-    /// primary lanes after each partition pass. Materialized lazily at
-    /// the first sampled compaction — a block that never fills (or
-    /// stays below [`SAMPLED_COMPACT_MIN`]) never allocates them.
+    /// Output lanes of the compaction's partition; swapped with the
+    /// primary lanes after each pass. Materialized lazily at the first
+    /// compaction — a block that never fills never allocates them.
     scratch_ids: Vec<I>,
     scratch_vals: Vec<V>,
-    /// Reusable buffer for the pivot sample.
-    sample: Vec<V>,
-    /// Compactions whose sampled pivot landed outside the tolerance
-    /// band ([`qmax_select::kernels::pivot_band`]); the result is exact
-    /// either way, the counter tracks sample quality.
-    pivot_fallbacks: u64,
     /// SIMD dispatch handle, resolved once at construction.
     kernel: Kernel<V>,
 }
@@ -115,8 +110,6 @@ impl SoaAmortizedQMax<u64, u64> {
             filtered: 0,
             scratch_ids: Vec::new(),
             scratch_vals: Vec::new(),
-            sample: Vec::new(),
-            pivot_fallbacks: 0,
             kernel: Kernel::detect(),
         })
     }
@@ -134,13 +127,6 @@ impl SoaAmortizedQMax<u64, u64> {
     /// Number of arrivals dropped by the admission filter.
     pub fn filtered(&self) -> u64 {
         self.filtered
-    }
-
-    /// Compactions whose sampled pivot landed outside the tolerance
-    /// band and degraded to a large exact-select residue. Always zero
-    /// for buffers below `SAMPLED_COMPACT_MIN` slots.
-    pub fn pivot_fallbacks(&self) -> u64 {
-        self.pivot_fallbacks
     }
 
     /// Overrides the SIMD dispatch handle (benchmarks pin the scalar
@@ -164,7 +150,7 @@ impl SoaAmortizedQMax<u64, u64> {
     /// fills, not for `⌈q(1+γ)⌉` slots × 4 lanes up front (the eager
     /// materialization was the per-block fixed cost that inverted the
     /// SoA layout from win to ~10× collapse at small τ). The scratch
-    /// lanes are not touched here at all — see [`Self::compact_sampled`].
+    /// lanes are not touched here at all — see [`Self::compact`].
     #[inline]
     fn ensure_lanes(&mut self, need: usize, id: u64, val: u64) {
         debug_assert!(need <= self.cap);
@@ -175,110 +161,38 @@ impl SoaAmortizedQMax<u64, u64> {
         }
     }
 
-    /// Compacts the lanes: selects the q-th largest value, makes it the
-    /// new threshold, and keeps only the top `q` pairs. Large buffers
-    /// take the sampled-pivot path; the resulting Ψ and survivor
-    /// multiset are identical either way.
+    /// Compacts the lanes: finds the q-th largest value Ψ, makes it the
+    /// new threshold, and keeps only the top `q` pairs.
+    ///
+    /// Ψ is selected on a copy of the value lane (selecting in place
+    /// would separate values from their ids); the partition then moves
+    /// both lanes. The `>` region and the first `q − #(> Ψ)` elements
+    /// equal to Ψ are the survivors, a prefix of the partition's output.
     fn compact(&mut self) {
-        debug_assert!(self.len > self.q);
-        let psi = if self.len >= SAMPLED_COMPACT_MIN {
-            self.compact_sampled()
-        } else {
-            self.compact_exact()
-        };
-        self.len = self.q;
+        let (n, q) = (self.len, self.q);
+        debug_assert!(n > q);
+        if self.scratch_vals.len() < n {
+            self.scratch_vals.resize(n, 0);
+            self.scratch_ids.resize(n, 0);
+        }
+        self.scratch_vals[..n].copy_from_slice(&self.vals[..n]);
+        let psi = *self.scratch_vals[..n].select_nth_unstable(n - q).1;
+        let (ngt, eq_end) = self.kernel.partition3_desc(
+            &self.vals[..n],
+            &self.ids[..n],
+            psi,
+            &mut self.scratch_vals[..n],
+            &mut self.scratch_ids[..n],
+        );
+        debug_assert!(ngt < q && q <= eq_end);
+        core::mem::swap(&mut self.vals, &mut self.scratch_vals);
+        core::mem::swap(&mut self.ids, &mut self.scratch_ids);
+        self.len = q;
         self.threshold = Some(match self.threshold.take() {
             Some(old) if old > psi => old,
             _ => psi,
         });
         self.compactions += 1;
-    }
-
-    /// Plain exact compaction: introselect over the full live prefix.
-    fn compact_exact(&mut self) -> u64 {
-        let cut = self.len - self.q;
-        paired_nth_smallest(&mut self.vals[..self.len], &mut self.ids[..self.len], cut);
-        let psi = self.vals[cut];
-        self.vals.copy_within(cut..self.len, 0);
-        self.ids.copy_within(cut..self.len, 0);
-        psi
-    }
-
-    /// Sampled-pivot compaction: estimate the q-th largest value from a
-    /// deterministic `O(√n)` sample (seeded by the compaction counter,
-    /// so replays are exact), partition the lanes around it in one
-    /// vectorized stable pass into the scratch lanes — descending
-    /// region order, so the survivors end up a *prefix* — then repair
-    /// the boundary with an exact select over only the region the true
-    /// cut landed in. Ψ is exactly the q-th largest, as in
-    /// [`Self::compact_exact`].
-    fn compact_sampled(&mut self) -> u64 {
-        let n = self.len;
-        let q = self.q;
-        let (mn, mx) = self
-            .kernel
-            .min_max(&self.vals[..n])
-            .expect("compacting a non-empty buffer");
-        if mn == mx {
-            // All values equal: any q survive and Ψ is that value.
-            return mn;
-        }
-        let seed = PIVOT_SEED ^ self.compactions;
-        let pivot = self
-            .kernel
-            .sample_pivot(&self.vals[..n], n - q, seed, &mut self.sample);
-        // First sampled compaction materializes the scratch lanes (the
-        // mn == mx early exit above needs none, and exact compactions
-        // below `SAMPLED_COMPACT_MIN` partition in place).
-        if self.scratch_vals.len() < n {
-            let seed_id = self.ids[0];
-            self.scratch_vals.resize(n, mn);
-            self.scratch_ids.resize(n, seed_id);
-        }
-        let (ngt, eq_end) = self.kernel.partition3_desc(
-            &self.vals[..n],
-            &self.ids[..n],
-            pivot,
-            &mut self.scratch_vals[..n],
-            &mut self.scratch_ids[..n],
-        );
-        core::mem::swap(&mut self.vals, &mut self.scratch_vals);
-        core::mem::swap(&mut self.ids, &mut self.scratch_ids);
-        let band = pivot_band(n);
-        if ngt >= q {
-            // Pivot landed low: all survivors are in the `>` region;
-            // exact-select the q largest within it.
-            if ngt - q > band {
-                self.pivot_fallbacks += 1;
-            }
-            let cut = ngt - q;
-            paired_nth_smallest(&mut self.vals[..ngt], &mut self.ids[..ngt], cut);
-            let psi = self.vals[cut];
-            self.vals.copy_within(cut..ngt, 0);
-            self.ids.copy_within(cut..ngt, 0);
-            psi
-        } else if eq_end >= q {
-            // In band: the q-th largest is the pivot itself and the
-            // survivors are exactly the output prefix already.
-            pivot
-        } else {
-            // Pivot landed high: keep the whole `>`/`==` prefix and top
-            // it up with the largest elements of the `<` region.
-            if q - eq_end > band {
-                self.pivot_fallbacks += 1;
-            }
-            let k = q - eq_end;
-            let lt_len = n - eq_end;
-            paired_nth_smallest(
-                &mut self.vals[eq_end..n],
-                &mut self.ids[eq_end..n],
-                lt_len - k,
-            );
-            let psi = self.vals[n - k];
-            self.vals.copy_within(n - k..n, eq_end);
-            self.ids.copy_within(n - k..n, eq_end);
-            psi
-        }
     }
 }
 
@@ -401,7 +315,7 @@ impl crate::checkpoint::Checkpoint<u64, u64> for SoaAmortizedQMax<u64, u64> {
             threshold: self.threshold,
             compactions: self.compactions,
             filtered: self.filtered,
-            pivot_fallbacks: self.pivot_fallbacks,
+            pivot_fallbacks: 0,
         }
     }
 
@@ -423,7 +337,6 @@ impl crate::checkpoint::Checkpoint<u64, u64> for SoaAmortizedQMax<u64, u64> {
         self.threshold = snap.threshold;
         self.compactions = snap.compactions;
         self.filtered = snap.filtered;
-        self.pivot_fallbacks = snap.pivot_fallbacks;
         if self.len >= self.cap {
             self.compact();
         }
@@ -443,8 +356,6 @@ impl IntervalBackend<u64, u64> for SoaAmortizedQMax<u64, u64> {
             filtered: 0,
             scratch_ids: Vec::new(),
             scratch_vals: Vec::new(),
-            sample: Vec::new(),
-            pivot_fallbacks: 0,
             kernel: self.kernel,
         }
     }
@@ -616,10 +527,10 @@ mod tests {
     }
 
     #[test]
-    fn sampled_compaction_matches_reference_and_aos() {
-        // q(1+γ) ≥ SAMPLED_COMPACT_MIN, so every compaction takes the
-        // sampled-pivot path; Ψ and admissions must still match the
-        // exact-select AoS structure insert for insert.
+    fn large_buffer_matches_reference_and_aos() {
+        // q(1+γ) ≥ SAMPLED_COMPACT_MIN, so every AoS compaction takes
+        // its sampled-pivot path; Ψ and admissions must still match the
+        // SoA structure insert for insert.
         let mut state = 77u64;
         let q = 2000usize;
         let vals: Vec<u64> = (0..50_000).map(|_| splitmix(&mut state)).collect();
@@ -638,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn sampled_compaction_is_deterministic() {
+    fn large_buffer_batch_matches_singletons() {
         let mut state = 13u64;
         let items: Vec<(u64, u64)> = (0..40_000)
             .map(|i| (i as u64, splitmix(&mut state)))
@@ -653,15 +564,14 @@ mod tests {
         }
         assert_eq!(a.threshold(), b.threshold());
         assert_eq!(a.compactions(), b.compactions());
-        assert_eq!(a.pivot_fallbacks(), b.pivot_fallbacks());
     }
 
     #[test]
-    fn adversarial_sample_forces_fallback_but_stays_exact() {
-        // Defeat the (public, deterministic) sample of the first
-        // compaction: every sampled position holds the minimum value,
-        // so the pivot lands far below the true cut and the exact
-        // select runs over nearly the whole `>` region.
+    fn adversarial_sample_stream_stays_exact() {
+        // The stream that defeats the (public, deterministic) pivot
+        // sample of a first sampled compaction: every sampled position
+        // holds the minimum value. SoA compaction selects Ψ exactly, so
+        // the top-q and Ψ must equal the reference.
         let q = 64usize;
         let mut qm = SoaAmortizedQMax::<u64, u64>::new(q, 31.0);
         let cap = qm.capacity();
@@ -675,24 +585,20 @@ mod tests {
             qm.insert(i as u64, v);
         }
         assert_eq!(qm.compactions(), 1);
-        assert_eq!(qm.pivot_fallbacks(), 1, "bad pivot must be counted");
-        // Exactness is preserved regardless.
         assert_eq!(sorted_vals(qm.query()), top_q_reference(&vals, q));
         assert_eq!(qm.threshold(), top_q_reference(&vals, q).first().copied());
     }
 
     #[test]
-    fn all_equal_large_buffer_uses_minmax_fast_path() {
+    fn all_equal_large_buffer_keeps_q_items() {
         let q = 600usize;
         let mut qm = SoaAmortizedQMax::<u64, u64>::new(q, 1.0);
-        assert!(qm.capacity() >= qmax_select::kernels::SAMPLED_COMPACT_MIN);
         let items: Vec<(u64, u64)> = (0..5000).map(|i| (i, 42u64)).collect();
         qm.insert_batch(&items);
         let got = qm.query();
         assert_eq!(got.len(), q);
         assert!(got.iter().all(|&(_, v)| v == 42));
         assert_eq!(qm.threshold(), Some(42));
-        assert_eq!(qm.pivot_fallbacks(), 0);
     }
 
     #[test]
@@ -710,7 +616,6 @@ mod tests {
             assert_eq!(auto.threshold(), scalar.threshold());
         }
         assert_eq!(auto.filtered(), scalar.filtered());
-        assert_eq!(auto.pivot_fallbacks(), scalar.pivot_fallbacks());
         let mut a = auto.query();
         let mut s = scalar.query();
         a.sort_unstable();

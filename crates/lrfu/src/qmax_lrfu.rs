@@ -222,7 +222,7 @@ impl<K: Clone + Hash + Eq, F: IndexFamily> QMaxLrfu<K, F> {
     /// bit-identical.
     ///
     /// Selection runs over the **dense score column alone**: a
-    /// quickselect over copied scores finds the eviction pivot (the
+    /// selection over copied scores finds the eviction pivot (the
     /// q-th largest score), a census over the same column counts the
     /// scores below the pivot,
     /// and one ascending-slot sweep evicts everything below the pivot

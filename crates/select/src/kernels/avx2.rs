@@ -212,66 +212,6 @@ pub(super) unsafe fn count_gt_eq_u64(vals: &[u64], pivot: u64) -> (usize, usize)
     (gt, eq)
 }
 
-/// Kernel (c) sweep: `(min, max)` of a non-empty lane.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn min_max_u64(vals: &[u64]) -> (u64, u64) {
-    debug_assert!(!vals.is_empty());
-    let n = vals.len();
-    let p = vals.as_ptr();
-    if n < 4 {
-        let (mut mn, mut mx) = (vals[0], vals[0]);
-        for &v in &vals[1..] {
-            mn = mn.min(v);
-            mx = mx.max(v);
-        }
-        return (mn, mx);
-    }
-    // Accumulators live in the sign-biased domain (one XOR per loaded
-    // vector instead of re-biasing both compare operands every step),
-    // and four independent min/max chains hide the cmp→blend latency.
-    let first = bias(_mm256_loadu_si256(p as *const __m256i));
-    let mut mins = [first; 4];
-    let mut maxs = [first; 4];
-    let mut i = 4usize;
-    while i + 16 <= n {
-        let mut c = 0usize;
-        while c < 4 {
-            let v = bias(_mm256_loadu_si256(p.add(i + 4 * c) as *const __m256i));
-            mins[c] = _mm256_blendv_epi8(mins[c], v, _mm256_cmpgt_epi64(mins[c], v));
-            maxs[c] = _mm256_blendv_epi8(maxs[c], v, _mm256_cmpgt_epi64(v, maxs[c]));
-            c += 1;
-        }
-        i += 16;
-    }
-    while i + 4 <= n {
-        let v = bias(_mm256_loadu_si256(p.add(i) as *const __m256i));
-        mins[0] = _mm256_blendv_epi8(mins[0], v, _mm256_cmpgt_epi64(mins[0], v));
-        maxs[0] = _mm256_blendv_epi8(maxs[0], v, _mm256_cmpgt_epi64(v, maxs[0]));
-        i += 4;
-    }
-    let mut vmin = mins[0];
-    let mut vmax = maxs[0];
-    for c in 1..4 {
-        vmin = _mm256_blendv_epi8(vmin, mins[c], _mm256_cmpgt_epi64(vmin, mins[c]));
-        vmax = _mm256_blendv_epi8(vmax, maxs[c], _mm256_cmpgt_epi64(maxs[c], vmax));
-    }
-    let mut lanes_min = [0u64; 4];
-    let mut lanes_max = [0u64; 4];
-    _mm256_storeu_si256(lanes_min.as_mut_ptr() as *mut __m256i, bias(vmin));
-    _mm256_storeu_si256(lanes_max.as_mut_ptr() as *mut __m256i, bias(vmax));
-    let mut mn = lanes_min[0];
-    let mut mx = lanes_max[0];
-    for l in 1..4 {
-        mn = mn.min(lanes_min[l]);
-        mx = mx.max(lanes_max[l]);
-    }
-    for &v in &vals[i..] {
-        mn = mn.min(v);
-        mx = mx.max(v);
-    }
-    (mn, mx)
-}
-
 /// Kernel (b): stable three-stream partition into descending region
 /// order (`> | == | <`), counts pre-computed by the caller.
 ///

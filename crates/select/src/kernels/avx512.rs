@@ -88,59 +88,6 @@ pub(super) unsafe fn count_gt_eq_u64(vals: &[u64], pivot: u64) -> (usize, usize)
     (gt, eq)
 }
 
-/// Kernel (c) sweep: `(min, max)` of a non-empty lane.
-#[target_feature(enable = "avx512f")]
-pub(super) unsafe fn min_max_u64(vals: &[u64]) -> (u64, u64) {
-    debug_assert!(!vals.is_empty());
-    let n = vals.len();
-    let p = vals.as_ptr();
-    if n < 8 {
-        let (mut mn, mut mx) = (vals[0], vals[0]);
-        for &v in &vals[1..] {
-            mn = mn.min(v);
-            mx = mx.max(v);
-        }
-        return (mn, mx);
-    }
-    // Two independent accumulator chains hide the min/max latency.
-    let first = _mm512_loadu_si512(p as *const _);
-    let (mut mn0, mut mn1) = (first, first);
-    let (mut mx0, mut mx1) = (first, first);
-    let mut i = 8usize;
-    while i + 16 <= n {
-        let v0 = _mm512_loadu_si512(p.add(i) as *const _);
-        let v1 = _mm512_loadu_si512(p.add(i + 8) as *const _);
-        mn0 = _mm512_min_epu64(mn0, v0);
-        mx0 = _mm512_max_epu64(mx0, v0);
-        mn1 = _mm512_min_epu64(mn1, v1);
-        mx1 = _mm512_max_epu64(mx1, v1);
-        i += 16;
-    }
-    while i + 8 <= n {
-        let v = _mm512_loadu_si512(p.add(i) as *const _);
-        mn0 = _mm512_min_epu64(mn0, v);
-        mx0 = _mm512_max_epu64(mx0, v);
-        i += 8;
-    }
-    let vmin = _mm512_min_epu64(mn0, mn1);
-    let vmax = _mm512_max_epu64(mx0, mx1);
-    let mut lanes_min = [0u64; 8];
-    let mut lanes_max = [0u64; 8];
-    _mm512_storeu_si512(lanes_min.as_mut_ptr() as *mut _, vmin);
-    _mm512_storeu_si512(lanes_max.as_mut_ptr() as *mut _, vmax);
-    let mut mn = lanes_min[0];
-    let mut mx = lanes_max[0];
-    for l in 1..8 {
-        mn = mn.min(lanes_min[l]);
-        mx = mx.max(lanes_max[l]);
-    }
-    for &v in &vals[i..] {
-        mn = mn.min(v);
-        mx = mx.max(v);
-    }
-    (mn, mx)
-}
-
 /// Kernel (b): stable three-stream partition into descending region
 /// order (`> | == | <`), counts pre-computed by the caller. Compress
 /// stores emit exactly each class's lanes at its cursor, so unlike the

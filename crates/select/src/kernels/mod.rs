@@ -1,18 +1,14 @@
 //! Vectorized hot-loop kernels with runtime SIMD dispatch.
 //!
-//! q-MAX's three hot loops are all branch-light linear scans — exactly
-//! the shape that vectorizes:
+//! q-MAX's two hot loops are branch-light linear scans — exactly the
+//! shape that vectorizes:
 //!
 //! * **(a) Ψ-filter batch admit** — compress the values `> Ψ` of an
 //!   arrival batch into the buffer lanes ([`Kernel::admit_pairs`]);
 //! * **(b) three-way partition** — split a value lane around a pivot
 //!   with the same permutation mirrored into the id lane
 //!   ([`Kernel::partition3_desc`], plus the counting pass
-//!   [`Kernel::count_gt_eq`]);
-//! * **(c) pivot-sample scan** — min/max sweep plus a deterministic
-//!   `O(√n)` quantile sample that yields a near-exact compaction pivot
-//!   ([`Kernel::min_max`], [`Kernel::sample_pivot`]; the SQUID approach
-//!   of Ben Basat et al., see PAPERS.md).
+//!   [`Kernel::count_gt_eq`]).
 //!
 //! A [`Kernel`] is resolved **once per structure** ([`Kernel::detect`])
 //! and then dispatches each call to an AVX-512F or AVX2 (x86_64) or
@@ -110,9 +106,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The deterministic positions `sample_pivot` draws for an `n`-element
-/// buffer under `seed` (duplicates allowed). Exposed so tests can
-/// predict — and adversarially defeat — the sample.
+/// The deterministic positions a sampled-pivot compaction (the
+/// array-of-structs `AmortizedQMax` in `qmax-core`) draws for an
+/// `n`-element buffer under `seed` (duplicates allowed). Exposed so
+/// tests can predict — and adversarially defeat — the sample.
 pub fn sample_positions(n: usize, seed: u64, out: &mut Vec<usize>) {
     out.clear();
     let mut s = seed;
@@ -278,28 +275,6 @@ impl Kernel<u64> {
         }
     }
 
-    /// Kernel (c), sweep pass: `(min, max)` of the value lane, `None`
-    /// when empty.
-    pub fn min_max(&self, vals: &[u64]) -> Option<(u64, u64)> {
-        if vals.is_empty() {
-            return None;
-        }
-        match self.kind {
-            // SAFETY: `detect` sets each SIMD kind only after its
-            // feature check passed, and the lane is non-empty, which
-            // the SIMD sweeps require.
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx512 => Some(unsafe { avx512::min_max_u64(vals) }),
-            // SAFETY: as for Avx512.
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => Some(unsafe { avx2::min_max_u64(vals) }),
-            // SAFETY: as for Avx512.
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => Some(unsafe { neon::min_max_u64(vals) }),
-            _ => scalar::min_max(vals),
-        }
-    }
-
     /// Kernel (b): stable three-way partition of `(vals, ids)` around
     /// `pivot` into the output lanes, **descending** region order —
     /// `out[0..ngt)` holds the elements `> pivot`, `out[ngt..eq_end)`
@@ -345,36 +320,6 @@ impl Kernel<u64> {
             _ => scalar::partition3_desc(vals, ids, pivot, ngt, neq, out_vals, out_ids),
         }
         (ngt, ngt + neq)
-    }
-
-    /// Kernel (c): estimates the value with ascending rank `rank` in
-    /// `vals` from a deterministic `O(√n)` sample (positions exactly as
-    /// [`sample_positions`] yields for `(vals.len(), seed)`), selecting
-    /// the proportionally scaled rank within the sample. `scratch` is
-    /// caller-owned so repeated compactions reuse its allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) when `vals` is empty or `rank` is out of range.
-    pub fn sample_pivot(
-        &self,
-        vals: &[u64],
-        rank: usize,
-        seed: u64,
-        scratch: &mut Vec<u64>,
-    ) -> u64 {
-        let n = vals.len();
-        debug_assert!(rank < n, "sample rank {rank} out of range {n}");
-        let m = sample_size(n);
-        scratch.clear();
-        let mut s = seed;
-        for _ in 0..m {
-            scratch.push(vals[(splitmix64(&mut s) % n as u64) as usize]);
-        }
-        let srank = (((rank as u128) * (m as u128)) / (n as u128)) as usize;
-        let srank = srank.min(m - 1);
-        crate::nth_smallest(scratch, srank);
-        scratch[srank]
     }
 }
 
@@ -437,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn count_and_minmax_match_scalar() {
+    fn count_matches_scalar() {
         let scalar = Kernel::<u64>::scalar();
         for k in kernels() {
             for n in [0usize, 1, 4, 7, 100, 4097] {
@@ -449,7 +394,6 @@ mod tests {
                         "count diverged n={n} pivot={pivot}"
                     );
                 }
-                assert_eq!(scalar.min_max(&vals), k.min_max(&vals), "minmax n={n}");
             }
         }
     }
@@ -476,48 +420,6 @@ mod tests {
                     assert!(region.windows(2).all(|w| w[0] < w[1]), "region not stable");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sample_pivot_is_deterministic_and_in_range() {
-        let k = Kernel::<u64>::detect();
-        let vals = zipfish(10_000, 77);
-        let mut scratch = Vec::new();
-        let p1 = k.sample_pivot(&vals, 2_000, PIVOT_SEED, &mut scratch);
-        let p2 = k.sample_pivot(&vals, 2_000, PIVOT_SEED, &mut scratch);
-        assert_eq!(p1, p2, "same seed must sample the same pivot");
-        assert!(vals.contains(&p1), "pivot must be a buffer value");
-        let p3 = k.sample_pivot(&vals, 2_000, PIVOT_SEED ^ 1, &mut scratch);
-        // Different seed *may* coincide, but the positions must differ.
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        sample_positions(vals.len(), PIVOT_SEED, &mut a);
-        sample_positions(vals.len(), PIVOT_SEED ^ 1, &mut b);
-        assert_ne!(a, b);
-        let _ = p3;
-    }
-
-    #[test]
-    fn sample_pivot_tracks_rank() {
-        // On a uniform permutation the sampled quantile should land
-        // within the tolerance band of the true rank.
-        let k = Kernel::<u64>::detect();
-        let n = 10_000usize;
-        let mut vals: Vec<u64> = (0..n as u64).collect();
-        // Deterministic shuffle.
-        let mut s = 42u64;
-        for i in (1..n).rev() {
-            let j = (splitmix64(&mut s) % (i as u64 + 1)) as usize;
-            vals.swap(i, j);
-        }
-        let mut scratch = Vec::new();
-        for rank in [100usize, n / 4, n / 2, n - n / 8] {
-            let p = k.sample_pivot(&vals, rank, PIVOT_SEED, &mut scratch) as usize;
-            assert!(
-                p.abs_diff(rank) <= pivot_band(n) * 4,
-                "pivot {p} too far from rank {rank}"
-            );
         }
     }
 }

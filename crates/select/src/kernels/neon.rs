@@ -88,31 +88,3 @@ pub(super) unsafe fn count_gt_eq_u64(vals: &[u64], pivot: u64) -> (usize, usize)
     }
     (gt, eq)
 }
-
-/// Kernel (c) sweep: `(min, max)` of a non-empty lane.
-#[target_feature(enable = "neon")]
-pub(super) unsafe fn min_max_u64(vals: &[u64]) -> (u64, u64) {
-    debug_assert!(!vals.is_empty());
-    let n = vals.len();
-    let p = vals.as_ptr();
-    if n < 2 {
-        return (vals[0], vals[0]);
-    }
-    let mut vmin = vld1q_u64(p);
-    let mut vmax = vmin;
-    let mut i = 2usize;
-    while i + 2 <= n {
-        let v = vld1q_u64(p.add(i));
-        // No unsigned 64-bit min/max instruction: compare + bit-select.
-        vmin = vbslq_u64(vcgtq_u64(vmin, v), v, vmin);
-        vmax = vbslq_u64(vcgtq_u64(v, vmax), v, vmax);
-        i += 2;
-    }
-    let mut mn = vgetq_lane_u64::<0>(vmin).min(vgetq_lane_u64::<1>(vmin));
-    let mut mx = vgetq_lane_u64::<0>(vmax).max(vgetq_lane_u64::<1>(vmax));
-    for &v in &vals[i..] {
-        mn = mn.min(v);
-        mx = mx.max(v);
-    }
-    (mn, mx)
-}

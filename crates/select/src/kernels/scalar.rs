@@ -46,22 +46,6 @@ pub(super) fn count_gt_eq(vals: &[u64], pivot: u64) -> (usize, usize) {
     (gt, eq)
 }
 
-#[inline]
-pub(super) fn min_max(vals: &[u64]) -> Option<(u64, u64)> {
-    let mut it = vals.iter();
-    let &first = it.next()?;
-    let (mut mn, mut mx) = (first, first);
-    for &v in it {
-        if v < mn {
-            mn = v;
-        }
-        if v > mx {
-            mx = v;
-        }
-    }
-    Some((mn, mx))
-}
-
 /// Stable three-way partition into descending region order; `ngt`/`neq`
 /// are the pre-computed class counts (from [`count_gt_eq`]).
 #[inline]

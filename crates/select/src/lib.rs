@@ -3,36 +3,35 @@
 //! The q-MAX algorithm (Ben Basat et al., IMC 2019) maintains the `q`
 //! largest items of a stream in worst-case constant time per update. Its
 //! core trick is that finding an order statistic of an `O(q)`-sized array
-//! takes `O(q)` time ([`nth_smallest`] / [`mom_nth_smallest`]), and that
-//! this linear-time computation can be *de-amortized*: broken into many
-//! small, bounded-work steps that are interleaved with arrivals
+//! takes `O(q)` time ([`nth_smallest`]), and that this linear-time
+//! computation can be *de-amortized*: broken into many small,
+//! bounded-work steps that are interleaved with arrivals
 //! ([`NthElementMachine`]).
 //!
 //! This crate provides:
 //!
-//! * [`nth_smallest`] — introselect (quickselect with a median-of-medians
-//!   fallback): expected linear, worst-case linear.
-//! * [`mom_nth_smallest`] — pure BFPRT median-of-medians selection:
-//!   worst-case linear with a larger constant.
-//! * [`NthElementMachine`] — a suspendable selection machine. Each call to
-//!   [`NthElementMachine::step`] performs at most `budget` elementary
-//!   operations and returns whether the selection has completed. Total
-//!   work is bounded by `WORK_BOUND_FACTOR * n`, so running the machine
-//!   with a per-step budget of `WORK_BOUND_FACTOR * n / s` completes it
-//!   within `s` steps.
+//! * [`nth_smallest`] — the standard library's
+//!   [`slice::select_nth_unstable`] (introselect with a
+//!   median-of-medians fallback: worst-case linear) behind the
+//!   crate's `&T`-returning, "out of range"-panicking contract.
+//! * [`NthElementMachine`] — a suspendable median-of-medians selection
+//!   machine. Each call to [`NthElementMachine::step`] performs at most
+//!   `budget` elementary operations and returns whether the selection
+//!   has completed. Total work is bounded by `WORK_BOUND_FACTOR * n`, so
+//!   running the machine with a per-step budget of
+//!   `WORK_BOUND_FACTOR * n / s` completes it within `s` steps.
 //! * [`PartitionMachine`] — a suspendable three-way partition around a
 //!   fixed pivot value.
-//! * [`paired_nth_smallest`] — the structure-of-arrays variant of
-//!   [`nth_smallest`]: it selects on a dense value lane and mirrors the
-//!   permutation into a parallel id lane, so pivot scans stream over
-//!   8-byte elements instead of 16-byte structs.
-//! * low-level helpers: [`partition3`], [`insertion_sort`],
-//!   [`median_of_five`].
+//! * [`partition3`] — the in-place three-way partition the
+//!   array-of-structs sampled compaction runs around its pivot.
+//! * [`Kernel`] — runtime-dispatched SIMD kernels over `u64` lanes
+//!   (batch Ψ-filter admit, stable three-way partition) for the
+//!   structure-of-arrays backend.
 //!
-//! All algorithms operate in place on caller-owned slices; the machines
-//! hold only indices, never borrows, so the caller may mutate *other*
-//! regions of the same buffer between steps (this is exactly how q-MAX
-//! inserts arrivals into one region while selection runs on another).
+//! The machines hold only indices, never borrows, so the caller may
+//! mutate *other* regions of the same buffer between steps (this is
+//! exactly how q-MAX inserts arrivals into one region while selection
+//! runs on another).
 
 #![warn(missing_docs)]
 // `unsafe` is denied crate-wide rather than forbidden: the only
@@ -44,16 +43,12 @@ pub mod kernels;
 mod machine;
 mod partition;
 pub mod policy;
-mod quickselect;
-mod soa;
-mod topk;
+mod select;
 
 pub use kernels::{prefetch_read, Kernel, KernelKind, ProbeKernel, GROUP_WIDTH};
 pub use machine::{
     Direction, MachineStatus, NthElementMachine, PartitionMachine, WORK_BOUND_FACTOR,
 };
-pub use partition::{insertion_sort, median_of_five, partition3};
+pub use partition::partition3;
 pub use policy::{calibrate, BackendChoice, BackendPolicy, CostModel, PolicyMode};
-pub use quickselect::{mom_nth_smallest, nth_largest, nth_smallest};
-pub use soa::{paired_insertion_sort, paired_nth_smallest, paired_partition3};
-pub use topk::{top_k_indices, top_k_suffix};
+pub use select::nth_smallest;

@@ -1,34 +1,6 @@
-//! In-place partition and small-array helpers.
+//! In-place three-way partition.
 
 use core::cmp::Ordering;
-
-/// Sorts `buf` in place with insertion sort.
-///
-/// Used as the base case of the selection routines; intended for small
-/// slices (a few dozen elements).
-#[inline]
-pub fn insertion_sort<T: Ord>(buf: &mut [T]) {
-    for i in 1..buf.len() {
-        let mut j = i;
-        while j > 0 && buf[j - 1] > buf[j] {
-            buf.swap(j - 1, j);
-            j -= 1;
-        }
-        debug_assert!(buf[..=i].windows(2).all(|w| w[0] <= w[1]));
-    }
-}
-
-/// Sorts a group of at most five elements and returns the index of its
-/// median (lower median for even-sized groups).
-///
-/// The group is `buf[lo..lo + len]`; the returned index is absolute.
-#[inline]
-pub fn median_of_five<T: Ord>(buf: &mut [T], lo: usize, len: usize) -> usize {
-    debug_assert!((1..=5).contains(&len));
-    debug_assert!(lo + len <= buf.len());
-    insertion_sort(&mut buf[lo..lo + len]);
-    lo + (len - 1) / 2
-}
 
 /// Three-way (Dutch national flag) partition of `buf[lo..hi]` around the
 /// pivot value `pivot`.
@@ -69,41 +41,6 @@ pub fn partition3<T: Ord>(buf: &mut [T], lo: usize, hi: usize, pivot: &T) -> (us
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn insertion_sort_sorts() {
-        let mut v = vec![5, 3, 8, 1, 9, 2, 2, 7];
-        insertion_sort(&mut v);
-        assert_eq!(v, vec![1, 2, 2, 3, 5, 7, 8, 9]);
-    }
-
-    #[test]
-    fn insertion_sort_empty_and_single() {
-        let mut v: Vec<i32> = vec![];
-        insertion_sort(&mut v);
-        assert!(v.is_empty());
-        let mut v = vec![42];
-        insertion_sort(&mut v);
-        assert_eq!(v, vec![42]);
-    }
-
-    #[test]
-    fn median_of_five_returns_median() {
-        let mut v = vec![0, 9, 4, 7, 2, 5, 0];
-        let m = median_of_five(&mut v, 1, 5);
-        // group was [9,4,7,2,5] -> sorted [2,4,5,7,9], median 5 at offset 2.
-        assert_eq!(v[m], 5);
-        assert_eq!(m, 3);
-    }
-
-    #[test]
-    fn median_of_five_short_groups() {
-        for len in 1..=5usize {
-            let mut v: Vec<u32> = (0..len as u32).rev().collect();
-            let m = median_of_five(&mut v, 0, len);
-            assert_eq!(v[m] as usize, (len - 1) / 2);
-        }
-    }
 
     #[test]
     fn partition3_partitions() {

@@ -58,7 +58,10 @@ macro_rules! assert_roundtrip {
         );
         assert_eq!(original.compactions(), restored.compactions());
         assert_eq!(original.filtered(), restored.filtered());
-        assert_eq!(original.pivot_fallbacks(), restored.pivot_fallbacks());
+        assert_eq!(
+            original.snapshot().pivot_fallbacks,
+            restored.snapshot().pivot_fallbacks
+        );
 
         // A snapshot must capture *all* state that future behavior
         // depends on: the same suffix must drive both copies through
@@ -79,7 +82,10 @@ macro_rules! assert_roundtrip {
         );
         assert_eq!(original.compactions(), restored.compactions());
         assert_eq!(original.filtered(), restored.filtered());
-        assert_eq!(original.pivot_fallbacks(), restored.pivot_fallbacks());
+        assert_eq!(
+            original.snapshot().pivot_fallbacks,
+            restored.snapshot().pivot_fallbacks
+        );
     }};
 }
 
